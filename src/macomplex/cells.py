@@ -49,8 +49,7 @@ class MomentAngleCellComplex:
         top = self.top_dimension
         ranks = [0] * (top + 2)
         for d in range(top + 1):
-            rows = [row for row in self.boundaries[d] if row]
-            ranks[d] = rank_sparse(rows)
+            ranks[d] = rank_sparse(self.boundaries[d])
         betti = [len(self.cells[d]) - ranks[d] - ranks[d + 1] for d in range(top + 1)]
         while len(betti) > 1 and betti[-1] == 0:
             betti.pop()

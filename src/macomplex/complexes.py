@@ -132,6 +132,28 @@ def _maximal_masks(masks: Iterable[int]) -> list[int]:
     return kept or [0]
 
 
+def _parse_json(data, what: str, key: str) -> tuple[int, list[VertexSet]]:
+    """``data["n"]`` and the vertex sets listed under ``data[key]``.
+
+    Numbers must be plain JSON integers.  Booleans, floats and numeric
+    strings are rejected rather than coerced, so a malformed input never
+    silently becomes some other complex.
+    """
+    shape = f"{what} JSON must be {{'n': int, '{key}': [[int,...],...]}}"
+    if not isinstance(data, dict) or "n" not in data or key not in data:
+        raise InputError(shape)
+    n, lists = data["n"], data[key]
+    if type(n) is not int:
+        raise InputError(f"{shape}: 'n' = {n!r} is not an integer")
+    if not isinstance(lists, list) or not all(isinstance(vs, list) for vs in lists):
+        raise InputError(f"{shape}: '{key}' must be a list of vertex lists")
+    for vs in lists:
+        for v in vs:
+            if type(v) is not int:
+                raise InputError(f"{shape}: vertex {v!r} is not an integer")
+    return n, [VertexSet(vs) for vs in lists]
+
+
 class SimplicialComplex:
     """Simplicial complex on vertices 1..n, stored by facets in canonical order.
 
@@ -189,14 +211,7 @@ class SimplicialComplex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimplicialComplex":
-        try:
-            n = int(data["n"])
-            facets = data["facets"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"complex JSON must be {{'n': int, 'facets': [[int,...],...]}}: {exc}")
-        if not isinstance(facets, list):
-            raise InputError("'facets' must be a list of vertex lists")
-        return cls(n, [VertexSet(f) for f in facets])
+        return cls(*_parse_json(data, "complex", "facets"))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SimplicialComplex):

@@ -1,10 +1,16 @@
 """Exact linear algebra over the integers and rationals.
 
-Rank computation is fraction-free: unit pivots are eliminated with pure
-integer row operations, anything else falls back to cross-multiplication
-followed by gcd normalisation.  The dense routines over Fraction are used
-only on the small matrices that occur when cohomology representatives are
-needed.
+Ranks are computed by incremental, fraction-free row reduction.  Each
+input row is reduced against a table of pivot rows indexed by their
+smallest column: while the row is non-empty, its smallest column either
+has no pivot yet, and the row becomes that column's pivot, or it is
+eliminated with the stored pivot row.  A row therefore meets only the
+pivots of the columns it actually reaches, instead of every remaining
+row being rescanned for every pivot.  Elimination stays in the integers:
+an exact quotient when the pivot divides the coefficient, otherwise
+cross-multiplication followed by gcd normalisation.  The dense routines
+over Fraction are used only on the small matrices that occur when
+cohomology representatives are needed.
 """
 
 from __future__ import annotations
@@ -14,55 +20,48 @@ from math import gcd
 
 
 def rank_sparse(rows) -> int:
-    """Rank of an integer matrix given as sparse rows ({col: coeff} dicts)."""
-    rows = [dict(r) for r in rows if r]
-    rank = 0
-    while rows:
-        best = None
-        pivot_idx = 0
-        pivot_col = 0
-        for idx, row in enumerate(rows):
-            for col, val in row.items():
-                key = (abs(val) != 1, len(row), col)
-                if best is None or key < best:
-                    best = key
-                    pivot_idx, pivot_col = idx, col
-            if best is not None and not best[0] and best[1] <= 2:
+    """Rank of an integer matrix given as sparse rows ({col: coeff} dicts).
+
+    The pivot of a reduced row is its smallest column.  Every other column
+    of a stored pivot row is larger, so eliminating the smallest column of
+    a row only adds columns above it: a row is finished after at most one
+    step per column, and the stored pivot rows stay in echelon form, so
+    their number is the rank.  The rank does not depend on the order of
+    the rows; the order only decides which rows become pivots.  Empty rows
+    and zero entries are skipped, and the input is not modified.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
                 break
-        pivot_row = rows.pop(pivot_idx)
-        pval = pivot_row.pop(pivot_col)
-        rank += 1
-        remaining = []
-        for other in rows:
-            coef = other.pop(pivot_col, 0)
-            if coef:
-                if coef % pval == 0:
-                    q = coef // pval
-                    for c, v in pivot_row.items():
-                        nv = other.get(c, 0) - q * v
-                        if nv:
-                            other[c] = nv
-                        else:
-                            other.pop(c, None)
+            coef = row[col]
+            pval = pivot[col]
+            scaled = coef % pval != 0
+            if scaled:
+                for c in row:
+                    row[c] *= pval
+                q = coef
+            else:
+                q = coef // pval
+            for c, v in pivot.items():  # clears col itself
+                nv = row.get(c, 0) - q * v
+                if nv:
+                    row[c] = nv
                 else:
-                    for c in list(other):
-                        other[c] *= pval
-                    for c, v in pivot_row.items():
-                        nv = other.get(c, 0) - coef * v
-                        if nv:
-                            other[c] = nv
-                        else:
-                            other.pop(c, None)
-                    g = 0
-                    for v in other.values():
-                        g = gcd(g, v)
-                    if g > 1:
-                        for c in other:
-                            other[c] //= g
-            if other:
-                remaining.append(other)
-        rows = remaining
-    return rank
+                    del row[c]
+            if scaled and row:
+                g = 0
+                for v in row.values():
+                    g = gcd(g, v)
+                if g > 1:
+                    for c in row:
+                        row[c] //= g
+    return len(pivots)
 
 
 def dense_from_sparse(rows, ncols) -> list[list[Fraction]]:

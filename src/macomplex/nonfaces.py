@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .complexes import SimplicialComplex, VertexSet, _compress_mask
+from .complexes import SimplicialComplex, VertexSet, _compress_mask, _parse_json
 from .errors import GhostVertexError, InputError
 
 
@@ -47,10 +47,7 @@ class NonfaceFamily:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NonfaceFamily":
-        try:
-            return cls(int(data["n"]), [VertexSet(m) for m in data["members"]])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"non-face JSON must be {{'n': int, 'members': [[int,...],...]}}: {exc}")
+        return cls(*_parse_json(data, "non-face", "members"))
 
     def __len__(self) -> int:
         return len(self.members)

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -8,6 +9,7 @@ from macomplex import (
     VertexSet,
     boundary_simplex,
     build,
+    cross_polytope,
     from_facets,
     full_subcomplex,
     hochster_betti,
@@ -60,6 +62,17 @@ def test_oracle_betti_examples(c4):
     for k in range(0, 5):
         assert oracle_betti(build(simplex(k))) == [1]
     assert oracle_betti(build(boundary_simplex(2))) == [1, 0, 0, 0, 0, 1]
+
+
+def test_cross_polytope_five_is_product_of_three_spheres():
+    # the boundary of the 5-dimensional cross polytope is the join of five
+    # copies of S^0, so Z(K) is (S^3)^5 with C(5, k) classes in degree 3k
+    C = build(cross_polytope(5))
+    assert C.cell_count == 8**5
+    expected = [0] * 16
+    for k in range(6):
+        expected[3 * k] = comb(5, k)
+    assert oracle_betti(C) == expected
 
 
 def test_engine_agreement_random():

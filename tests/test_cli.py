@@ -153,6 +153,21 @@ def test_bad_input_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        '{"n": true, "facets": [[1]]}',
+        '{"n": 3.9, "facets": [[1, 2], [3]]}',
+        '{"n": 3, "facets": [[1, 2.7], [3]]}',
+        '{"n": 3, "facets": [["1", 2], [3]]}',
+    ],
+)
+def test_non_integer_input_exit_code(capsys, source):
+    code, report = run_json(capsys, ["nonfaces", "--input", source])
+    assert code == 2
+    assert report["error"]["type"] == "InputError"
+
+
 def test_input_from_file_and_stdin(capsys, tmp_path, monkeypatch):
     path = tmp_path / "c4.json"
     path.write_text(C4_JSON)

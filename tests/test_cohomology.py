@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macomplex import (
     InputError,
@@ -204,6 +206,42 @@ def test_rank_sparse_against_sympy():
             {c: v for c, v in enumerate(row) if v} for row in dense
         ]
         assert rank_sparse(rows) == sympy.Matrix(dense).rank()
+
+
+@st.composite
+def sparse_integer_matrices(draw):
+    """(columns, rows) with at most 12 rows and 12 scattered column indices.
+
+    A row is either fresh, with entries up to 5 in size, or an integer
+    combination of two earlier rows, which gives duplicate and proportional
+    rows and rows that only cancel to empty after several pivots.
+    """
+    cols = draw(st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True))
+    entries = st.integers(-5, 5).filter(bool)
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        if rows and draw(st.booleans()):
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            combo = {c: a * rows[i].get(c, 0) + b * rows[j].get(c, 0) for c in cols}
+            rows.append({c: v for c, v in combo.items() if v})
+        else:
+            rows.append(draw(st.dictionaries(st.sampled_from(cols), entries, max_size=len(cols))))
+    return cols, rows
+
+
+@settings(max_examples=150)
+@given(sparse_integer_matrices())
+def test_rank_sparse_hypothesis_against_sympy(matrix):
+    import sympy
+
+    cols, rows = matrix
+    before = [dict(row) for row in rows]
+    rank = rank_sparse(rows)
+    assert rows == before  # the input is not modified
+    assert rank == sympy.Matrix([[row.get(c, 0) for c in cols] for row in rows]).rank()
+    assert rank_sparse(reversed(rows)) == rank
+    assert rank_sparse([{c: row.get(c, 0) for c in cols} for row in rows]) == rank  # explicit zeros
 
 
 def test_kernel_basis_annihilates():

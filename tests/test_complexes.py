@@ -182,6 +182,45 @@ def test_json_round_trip(c4):
         SimplicialComplex.from_json_dict({"n": 2})
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        # each would be a valid complex if coerced to 1, 3, 2 or 1
+        {"n": True, "facets": [[1]]},
+        {"n": 3.9, "facets": [[1, 2], [3]]},
+        {"n": 3, "facets": [[1, 2.7], [3]]},
+        {"n": 3, "facets": [["1", 2], [3]]},
+        # not a list of vertex lists
+        {"n": 3, "facets": [5]},
+        {"n": 3, "facets": "12"},
+        [4],
+    ],
+)
+def test_from_json_dict_rejects_malformed(data):
+    with pytest.raises(InputError):
+        SimplicialComplex.from_json_dict(data)
+
+
+json_scalars = st.one_of(
+    st.integers(-1, 7), st.booleans(), st.floats(-2, 8), st.text(max_size=2), st.none()
+)
+
+
+@given(json_scalars, st.lists(st.lists(json_scalars, max_size=3), max_size=3))
+def test_from_json_dict_never_coerces(n, facets):
+    data = {"n": n, "facets": facets}
+    if type(n) is not int or any(type(v) is not int for f in facets for v in f):
+        with pytest.raises(InputError):
+            SimplicialComplex.from_json_dict(data)
+        return
+    try:
+        K = SimplicialComplex.from_json_dict(data)
+    except InputError:  # a vertex or n out of range
+        return
+    assert K.n == n
+    assert facet_sets(K) == facet_sets(from_facets(n, facets))
+
+
 def test_relabel_complex(c4):
     # swapping 2 and 3 turns the cycle 1-2-3-4 into the cycle 1-3-2-4
     swapped = relabel_complex(c4, {1: 1, 2: 3, 3: 2, 4: 4})

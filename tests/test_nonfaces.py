@@ -49,6 +49,29 @@ def test_family_validation():
     assert [m.mask for m in M] == sorted(m.mask for m in M)
 
 
+def test_family_json_round_trip():
+    M = NonfaceFamily(4, [[2, 4], [1, 3]])
+    assert NonfaceFamily.from_json_dict(M.to_json_dict()) == M
+    with pytest.raises(InputError):
+        NonfaceFamily.from_json_dict({"n": 4})
+
+
+# Each would be a valid family if n = True, n = 3.9, the vertex 2.7 or the
+# vertex "1" were coerced to 1, 3, 2 or 1.
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": True, "members": []},
+        {"n": 3.9, "members": [[1, 2]]},
+        {"n": 3, "members": [[1, 2.7]]},
+        {"n": 3, "members": [["1", 2]]},
+    ],
+)
+def test_family_json_rejects_non_integers(data):
+    with pytest.raises(InputError):
+        NonfaceFamily.from_json_dict(data)
+
+
 def test_minimal_nonfaces_examples(c4):
     for n in (3, 4, 5):
         assert members_as_sets(minimal_nonfaces(boundary_simplex(n - 1))) == {
