@@ -4,54 +4,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from . import cells
 from .classify import classify
-from .cohomology import hochster_betti, hochster_table, is_trivial_ring
+from .cohomology import HOCHSTER_MAX_N, hochster_betti, hochster_table, is_trivial_ring
 from .complexes import SimplicialComplex, full_subcomplex
-from .errors import GhostVertexError, InputError, MacError, ResourceError
+from .errors import InputError, MacError, ResourceError
 from .generate import FAMILIES, generate
 from .loops import free_lie_ranks, growth_certificate, product_ranks, wedge_model, SphereModel
 from .nonfaces import minimal_nonfaces
 
-COMMANDS = (
-    "classify",
-    "nonfaces",
-    "betti",
-    "oracle-betti",
-    "ring",
-    "loop-ranks",
-    "crosscheck",
-    "generate",
-)
-
+# Default --limit-n of each command that reads complexes.
 DEFAULT_LIMIT_N = {
-    "classify": 24,
-    "nonfaces": 24,
-    "betti": 20,
-    "ring": 20,
-    "loop-ranks": 20,
-    "oracle-betti": 12,
-    "crosscheck": 12,
+    **dict.fromkeys(("classify", "nonfaces"), 24),
+    **dict.fromkeys(("betti", "ring", "loop-ranks"), HOCHSTER_MAX_N),
+    **dict.fromkeys(("oracle-betti", "crosscheck"), 12),
 }
-
-
-@dataclass
-class RunConfig:
-    command: str
-    inputs: tuple[str, ...] = ()
-    fmt: str = "json"
-    limit_n: int | None = None
-    limit_cells: int = cells.DEFAULT_CELL_LIMIT
-    seed: int = 0
-    family: str | None = None
-    size: int | None = None
-    truncation: int = 24
-    dump_cells: bool = False
 
 
 def _load_complex(text: str) -> SimplicialComplex:
@@ -71,51 +40,40 @@ def _load_complex(text: str) -> SimplicialComplex:
     return SimplicialComplex.from_json_dict(data)
 
 
-def _check_limit(K: SimplicialComplex, config: RunConfig) -> None:
-    limit = config.limit_n
-    if limit is None:
-        limit = DEFAULT_LIMIT_N.get(config.command, 63)
-    if K.n > limit:
-        raise ResourceError(
-            f"n={K.n} exceeds the limit of {limit} for '{config.command}' "
-            "(raise it with --limit-n)"
-        )
-
-
-def _report_classify(K, config):
+def _report_classify(K, args):
     return classify(K).to_json_dict()
 
 
-def _report_nonfaces(K, config):
+def _report_nonfaces(K, args):
     return minimal_nonfaces(K).to_json_dict()
 
 
-def _report_betti(K, config):
+def _report_betti(K, args):
     return hochster_table(K).to_json_dict()
 
 
-def _report_oracle(K, config):
-    complex = cells.build(K, cell_limit=config.limit_cells)
+def _report_oracle(K, args):
+    complex = cells.build(K, cell_limit=args.limit_cells)
     report = {"betti": cells.oracle_betti(complex), "cells": complex.cell_count}
-    if config.dump_cells:
+    if args.dump_cells:
         report["chain"] = complex.to_json_dict(include_boundary=True)
     return report
 
 
-def _report_ring(K, config):
+def _report_ring(K, args):
     trivial, certificate = is_trivial_ring(K)
     return {"trivial": trivial, "certificate": certificate}
 
 
-def _report_loop_ranks(K, config):
+def _report_loop_ranks(K, args):
     verdict = classify(K)
     if verdict.is_elliptic:
         model = SphereModel(kind="product", dims=verdict.sphere_dims)
-        series = product_ranks(model, N=config.truncation)
+        series = product_ranks(model, N=args.truncation)
     else:
         witness = full_subcomplex(K, verdict.witness_vertices)
         model = wedge_model(witness)
-        series = free_lie_ranks(model, N=config.truncation)
+        series = free_lie_ranks(model, N=args.truncation)
     growth = growth_certificate(series)
     return {
         "model": model.to_json_dict(),
@@ -125,9 +83,9 @@ def _report_loop_ranks(K, config):
     }
 
 
-def _report_crosscheck(K, config):
+def _report_crosscheck(K, args):
     hochster = hochster_betti(K)
-    oracle = cells.oracle_betti(cells.build(K, cell_limit=config.limit_cells))
+    oracle = cells.oracle_betti(cells.build(K, cell_limit=args.limit_cells))
     return {"hochster": hochster, "oracle": oracle, "equal": hochster == oracle}
 
 
@@ -141,68 +99,41 @@ HANDLERS = {
     "crosscheck": _report_crosscheck,
 }
 
-_ERROR_CODES = (
-    (ResourceError, 3),
-    (GhostVertexError, 2),
-    (InputError, 2),
-    (MacError, 2),
-)
-
 
 def _error_report(exc: MacError) -> tuple[int, dict]:
-    for klass, code in _ERROR_CODES:
-        if isinstance(exc, klass):
-            return code, {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    raise exc
+    code = 3 if isinstance(exc, ResourceError) else 2
+    return code, {"error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
-def _run_one(config: RunConfig, source: str) -> tuple[int, dict]:
+def _run_one(args: argparse.Namespace, source: str) -> tuple[int, dict]:
     try:
         K = _load_complex(source)
-        _check_limit(K, config)
-        return 0, HANDLERS[config.command](K, config)
+        if K.n > args.limit_n:
+            raise ResourceError(
+                f"n={K.n} exceeds the limit of {args.limit_n} for '{args.command}' "
+                "(raise it with --limit-n)"
+            )
+        return 0, HANDLERS[args.command](K, args)
     except MacError as exc:
         return _error_report(exc)
 
 
-def _worker_count(njobs: int) -> int:
-    env = os.environ.get("MAC_THREADS")
-    if env:
-        try:
-            cap = max(1, int(env))
-        except ValueError:
-            raise InputError(f"MAC_THREADS must be an integer, got {env!r}")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, njobs))
+def run(args: argparse.Namespace) -> tuple[int, object]:
+    """Execute a parsed command; returns (exit code, JSON-serialisable report).
 
-
-def run(config: RunConfig) -> tuple[int, object]:
-    """Execute a command; returns (exit code, JSON-serialisable report)."""
-    if config.command == "generate":
+    Several inputs run one after another, in order; the exit code is the
+    worst of theirs.
+    """
+    if args.command == "generate":
         try:
-            K = generate(config.family, size=config.size, seed=config.seed)
-            return 0, K.to_json_dict()
+            return 0, generate(args.family, size=args.size, seed=args.seed).to_json_dict()
         except MacError as exc:
             return _error_report(exc)
-    if config.command not in HANDLERS:
-        return 2, {"error": {"type": "InputError", "message": f"unknown command {config.command!r}"}}
-    if not config.inputs:
-        return 2, {"error": {"type": "InputError", "message": "no --input given"}}
-    if len(config.inputs) == 1:
-        return _run_one(config, config.inputs[0])
-    try:
-        workers = _worker_count(len(config.inputs))
-    except MacError as exc:
-        return _error_report(exc)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda src: _run_one(config, src), config.inputs))
-    code = max(c for c, _ in results)
-    batch = [
-        {"input": label, "report": report}
-        for label, (_, report) in zip(config.inputs, results)
-    ]
-    return code, batch
+    if len(args.input) == 1:
+        return _run_one(args, args.input[0])
+    results = [_run_one(args, source) for source in args.input]
+    batch = [{"input": label, "report": report} for label, (_, report) in zip(args.input, results)]
+    return max(code for code, _ in results), batch
 
 
 def _render_text(command: str, report) -> str:
@@ -235,9 +166,7 @@ def _render_text(command: str, report) -> str:
     if command == "crosscheck":
         state = "agree" if report["equal"] else "DISAGREE"
         return f"engines {state}: hochster {report['hochster']}, oracle {report['oracle']}"
-    if command == "generate":
-        return f"n={report['n']}, facets {report['facets']}"
-    return json.dumps(report, sort_keys=True)
+    return f"n={report['n']}, facets {report['facets']}"  # generate
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,10 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Classify moment-angle complexes and verify the result.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
+    for name in (*HANDLERS, "generate"):
+        cmd = sub.add_parser(name, allow_abbrev=False)
         cmd.add_argument("--format", choices=("json", "text"), default="json")
-        cmd.add_argument("--seed", type=int, default=0)
         if name == "generate":
             cmd.add_argument("--family", choices=FAMILIES, required=True)
             cmd.add_argument(
@@ -259,14 +187,16 @@ def build_parser() -> argparse.ArgumentParser:
                 help="dimension q (simplex/boundary), length m (cycle), "
                 "factor count k (cross_polytope) or vertex count n (random)",
             )
-        else:
-            cmd.add_argument(
-                "--input",
-                action="append",
-                required=True,
-                help="path to a complex JSON file, inline JSON, or - for stdin",
-            )
-            cmd.add_argument("--limit-n", type=int, default=None)
+            cmd.add_argument("--seed", type=int, default=0)
+            continue
+        cmd.add_argument(
+            "--input",
+            action="append",
+            required=True,
+            help="path to a complex JSON file, inline JSON, or - for stdin",
+        )
+        cmd.add_argument("--limit-n", type=int, default=DEFAULT_LIMIT_N[name])
+        if name in ("oracle-betti", "crosscheck"):
             cmd.add_argument("--limit-cells", type=int, default=cells.DEFAULT_CELL_LIMIT)
         if name == "loop-ranks":
             cmd.add_argument("--truncation", type=int, default=24)
@@ -275,27 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        inputs=tuple(getattr(args, "input", None) or ()),
-        fmt=args.format,
-        limit_n=getattr(args, "limit_n", None),
-        limit_cells=getattr(args, "limit_cells", cells.DEFAULT_CELL_LIMIT),
-        seed=args.seed,
-        family=getattr(args, "family", None),
-        size=getattr(args, "size", None),
-        truncation=getattr(args, "truncation", 24),
-        dump_cells=getattr(args, "dump_cells", False),
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = config_from_args(args)
-    code, report = run(config)
-    if config.fmt == "text":
-        print(_render_text(config.command, report))
+    code, report = run(args)
+    if args.format == "text":
+        print(_render_text(args.command, report))
     else:
         print(json.dumps(report, sort_keys=True, indent=2))
     return code

@@ -99,19 +99,19 @@ class CochainComplexQ:
         self._reps_cache[j] = reps
         return reps
 
+    def _coboundary_columns(self, j: int) -> list[list[Fraction]]:
+        """Columns of d_{j-1}: the coboundary of each (j-1)-face, dense over the j-faces."""
+        ncols = len(self.basis.get(j, []))
+        columns = [[Fraction(0)] * ncols for _ in self.basis.get(j - 1, [])]
+        for r, row in enumerate(self.coboundary_rows(j - 1)):  # one row per j-face
+            for col, v in row.items():
+                columns[col][r] = Fraction(v)
+        return columns
+
     def _image_span(self, j: int) -> "linalg.RowSpan":
         """Span of the coboundaries inside C^j, as j-face-indexed vectors."""
-        masks = self.basis.get(j, [])
-        ncols = len(masks)
-        rows = self.coboundary_rows(j - 1)  # rows indexed by j-faces
-        nprev = len(self.basis.get(j - 1, []))
         span = linalg.RowSpan()
-        for col in range(nprev):
-            vec = [Fraction(0)] * ncols
-            for r, row in enumerate(rows):
-                v = row.get(col)
-                if v:
-                    vec[r] = Fraction(v)
+        for vec in self._coboundary_columns(j):
             span.add(vec)
         return span
 
@@ -129,16 +129,8 @@ class CochainComplexQ:
             if sum(v * vec[c] for c, v in row.items()) != 0:
                 raise InputError("cochain is not a cocycle")
         reps = self.representatives(j)
-        rows_prev = self.coboundary_rows(j - 1)
-        nprev = len(self.basis.get(j - 1, []))
-        columns = []
-        for col in range(nprev):
-            column = [Fraction(0)] * len(masks)
-            for r, row in enumerate(rows_prev):
-                v = row.get(col)
-                if v:
-                    column[r] = Fraction(v)
-            columns.append(column)
+        columns = self._coboundary_columns(j)
+        nprev = len(columns)
         for rep in reps:
             column = [Fraction(0)] * len(masks)
             for m, v in rep.items():
@@ -262,11 +254,11 @@ def reduced_cohomology(K: SimplicialComplex):
     return out
 
 
-def hochster_table(K: SimplicialComplex, max_n: int = HOCHSTER_MAX_N) -> HochsterTable:
+def hochster_table(K: SimplicialComplex) -> HochsterTable:
     """Aggregate reduced Betti numbers of all full subcomplexes of ``K``."""
-    if K.n > max_n:
+    if K.n > HOCHSTER_MAX_N:
         raise ResourceError(
-            f"table needs 2^{K.n} subcomplexes; limit is n <= {max_n}"
+            f"table needs 2^{K.n} subcomplexes; limit is n <= {HOCHSTER_MAX_N}"
         )
     faces = sorted(K.face_masks(), key=lambda m: (m.bit_count(), m))
     entries: dict[tuple[int, int], int] = {}
@@ -286,9 +278,9 @@ def hochster_table(K: SimplicialComplex, max_n: int = HOCHSTER_MAX_N) -> Hochste
     return HochsterTable(K, entries, betti)
 
 
-def hochster_betti(K: SimplicialComplex, max_n: int = HOCHSTER_MAX_N) -> list[int]:
+def hochster_betti(K: SimplicialComplex) -> list[int]:
     """Betti numbers of Z(K; (D^2, S^1)) by total degree (trailing zeros trimmed)."""
-    return list(hochster_table(K, max_n=max_n).betti)
+    return list(hochster_table(K).betti)
 
 
 def _shuffle_sign(tau: int, part_j: int) -> int:

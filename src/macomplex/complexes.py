@@ -17,10 +17,17 @@ from .errors import InputError
 MAX_VERTICES = 63
 
 
+def _check_vertex_count(n) -> None:
+    if type(n) is not int or not 0 <= n <= MAX_VERTICES:
+        raise InputError(f"vertex count {n!r} must be an integer in 0..{MAX_VERTICES}")
+
+
 def _mask_of(vertices: Iterable[int]) -> int:
+    """Bitmask of plain-int vertices; bools, floats and strings are rejected."""
     mask = 0
     for v in vertices:
-        v = int(v)
+        if type(v) is not int:
+            raise InputError(f"vertex {v!r} is not an integer")
         if not 1 <= v <= MAX_VERTICES:
             raise InputError(f"vertex {v} out of range 1..{MAX_VERTICES}")
         mask |= 1 << (v - 1)
@@ -135,23 +142,17 @@ def _maximal_masks(masks: Iterable[int]) -> list[int]:
 def _parse_json(data, what: str, key: str) -> tuple[int, list[VertexSet]]:
     """``data["n"]`` and the vertex sets listed under ``data[key]``.
 
-    Numbers must be plain JSON integers.  Booleans, floats and numeric
-    strings are rejected rather than coerced, so a malformed input never
-    silently becomes some other complex.
+    Numbers must be plain JSON integers.  ``VertexSet`` and the constructors
+    reject booleans, floats and numeric strings rather than coerce them, so
+    a malformed input never silently becomes some other complex.
     """
     shape = f"{what} JSON must be {{'n': int, '{key}': [[int,...],...]}}"
     if not isinstance(data, dict) or "n" not in data or key not in data:
         raise InputError(shape)
-    n, lists = data["n"], data[key]
-    if type(n) is not int:
-        raise InputError(f"{shape}: 'n' = {n!r} is not an integer")
+    lists = data[key]
     if not isinstance(lists, list) or not all(isinstance(vs, list) for vs in lists):
         raise InputError(f"{shape}: '{key}' must be a list of vertex lists")
-    for vs in lists:
-        for v in vs:
-            if type(v) is not int:
-                raise InputError(f"{shape}: vertex {v!r} is not an integer")
-    return n, [VertexSet(vs) for vs in lists]
+    return data["n"], [VertexSet(vs) for vs in lists]
 
 
 class SimplicialComplex:
@@ -165,8 +166,7 @@ class SimplicialComplex:
     __slots__ = ("n", "facets")
 
     def __init__(self, n: int, facets: Iterable):
-        if not 0 <= n <= MAX_VERTICES:
-            raise InputError(f"vertex count {n} out of range 0..{MAX_VERTICES}")
+        _check_vertex_count(n)
         masks = []
         for f in facets:
             vs = f if isinstance(f, VertexSet) else VertexSet(f)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .complexes import SimplicialComplex, VertexSet, _compress_mask, _parse_json
+from .complexes import SimplicialComplex, VertexSet, _check_vertex_count, _compress_mask, _parse_json
 from .errors import GhostVertexError, InputError
 
 
@@ -24,6 +24,7 @@ class NonfaceFamily:
     __slots__ = ("n", "members")
 
     def __init__(self, n: int, members: Iterable):
+        _check_vertex_count(n)
         sets = []
         for m in members:
             vs = m if isinstance(m, VertexSet) else VertexSet(m)

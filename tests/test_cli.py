@@ -1,17 +1,20 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
 from macomplex import cli, cycle, from_facets
 
-SCHEMA = json.loads(
-    (pathlib.Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text()
-)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "docs" / "report.schema.json").read_text())
 
 C4_JSON = '{"n":4,"facets":[[1,2],[2,3],[3,4],[1,4]]}'
 C5_JSON = '{"n":5,"facets":[[1,2],[2,3],[3,4],[4,5],[1,5]]}'
+GHOST_JSON = '{"n":3,"facets":[[1,2]]}'
 
 
 def run_cli(capsys, argv):
@@ -125,7 +128,7 @@ def test_reports_are_byte_identical(capsys):
 
 def test_ghost_vertex_exit_code(capsys):
     code, report = run_json(
-        capsys, ["nonfaces", "--input", '{"n":3,"facets":[[1,2]]}']
+        capsys, ["nonfaces", "--input", GHOST_JSON]
     )
     assert code == 2
     assert report["error"]["type"] == "GhostVertexError"
@@ -136,11 +139,40 @@ def test_limit_exit_code(capsys):
     code, report = run_json(capsys, ["betti", "--input", '{"n":22,"facets":[[1]]}'])
     assert code == 3
     assert report["error"]["type"] == "ResourceError"
-    # raising the limit is possible but the loop would be 2^22; use oracle limit
+    for command in ("oracle-betti", "crosscheck"):
+        code, report = run_json(capsys, [command, "--input", C4_JSON, "--limit-cells", "10"])
+        assert code == 3
+        assert report["error"]["type"] == "ResourceError"
+
+
+def test_table_guard_fires_above_a_raised_limit_n(capsys):
+    # --limit-n 30 passes the CLI check; the 2^21-subset table refuses before enumerating
     code, report = run_json(
-        capsys, ["oracle-betti", "--input", C4_JSON, "--limit-cells", "10"]
+        capsys, ["betti", "--limit-n", "30", "--input", '{"n":21,"facets":[[1]]}']
     )
     assert code == 3
+    assert report["error"]["type"] == "ResourceError"
+    assert "2^21" in report["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(command, "--seed") for command in cli.HANDLERS]
+    + [
+        (command, "--limit-cells")
+        for command in (*cli.HANDLERS, "generate")
+        if command not in ("oracle-betti", "crosscheck")
+    ]
+    + [("classify", "--limit")],  # no prefix stands in for --limit-n
+)
+def test_options_exist_only_where_they_act(command, option):
+    if command == "generate":
+        argv = ["generate", "--family", "cycle", "--size", "5"]
+    else:
+        argv = [command, "--input", C4_JSON]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, option, "1"])
+    assert exc.value.code == 2
 
 
 def test_bad_input_exit_code(capsys, tmp_path):
@@ -181,8 +213,7 @@ def test_input_from_file_and_stdin(capsys, tmp_path, monkeypatch):
     assert report["kind"] == "hyperbolic"
 
 
-def test_batch_inputs_with_thread_cap(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("MAC_THREADS", "2")
+def test_batch_inputs_run_in_order(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     a.write_text(C4_JSON)
@@ -198,7 +229,7 @@ def test_batch_inputs_with_thread_cap(capsys, tmp_path, monkeypatch):
 def test_batch_exit_code_is_worst(capsys):
     code, report = run_json(
         capsys,
-        ["nonfaces", "--input", C4_JSON, "--input", '{"n":3,"facets":[[1,2]]}'],
+        ["nonfaces", "--input", C4_JSON, "--input", GHOST_JSON],
     )
     assert code == 2
     assert report[0]["report"]["members"] == [[1, 3], [2, 4]]
@@ -237,3 +268,16 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kind"] == "elliptic"
+
+
+def test_module_entry_point_matches_in_process(capsys):
+    argv = ["classify", "--input", C4_JSON, "--input", GHOST_JSON, "--input", C5_JSON]
+    proc = subprocess.run(
+        [sys.executable, "-m", "macomplex.cli", *argv],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        timeout=60,
+    )
+    code, out = run_cli(capsys, argv)
+    assert proc.returncode == code == 2
+    assert proc.stdout == out.encode()

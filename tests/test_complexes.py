@@ -42,6 +42,21 @@ def test_vertexset_range_validation():
         VertexSet([64])
 
 
+# int() would coerce each to valid vertices: {2}, {1}, {1}, {1, 3}.
+@pytest.mark.parametrize("vertices", [[2.7], ["1"], [True], [1.9, "3"]])
+def test_vertexset_rejects_non_integers(vertices):
+    with pytest.raises(InputError):
+        VertexSet(vertices)
+    with pytest.raises(InputError):
+        from_facets(3, [vertices])
+
+
+@pytest.mark.parametrize("n", [True, 3.0, "3", -1, 64, 99])
+def test_vertex_count_is_an_integer_in_range(n):
+    with pytest.raises(InputError):
+        SimplicialComplex(n, [[1]])
+
+
 def test_from_facets_removes_duplicates():
     K = from_facets(3, [[1, 2], [2, 3], [1, 2]])
     assert facet_sets(K) == {frozenset({1, 2}), frozenset({2, 3})}
@@ -194,6 +209,9 @@ def test_json_round_trip(c4):
         {"n": 3, "facets": [5]},
         {"n": 3, "facets": "12"},
         [4],
+        # n out of range
+        {"n": -1, "facets": [[1]]},
+        {"n": 99, "facets": [[1]]},
     ],
 )
 def test_from_json_dict_rejects_malformed(data):

@@ -49,6 +49,12 @@ def test_family_validation():
     assert [m.mask for m in M] == sorted(m.mask for m in M)
 
 
+@pytest.mark.parametrize("n", [True, 3.0, -1, 64, 99])
+def test_family_vertex_count_is_an_integer_in_range(n):
+    with pytest.raises(InputError):
+        NonfaceFamily(n, [[1, 2]])
+
+
 def test_family_json_round_trip():
     M = NonfaceFamily(4, [[2, 4], [1, 3]])
     assert NonfaceFamily.from_json_dict(M.to_json_dict()) == M
@@ -57,7 +63,7 @@ def test_family_json_round_trip():
 
 
 # Each would be a valid family if n = True, n = 3.9, the vertex 2.7 or the
-# vertex "1" were coerced to 1, 3, 2 or 1.
+# vertex "1" were coerced to 1, 3, 2 or 1; the last two have n out of range.
 @pytest.mark.parametrize(
     "data",
     [
@@ -65,6 +71,8 @@ def test_family_json_round_trip():
         {"n": 3.9, "members": [[1, 2]]},
         {"n": 3, "members": [[1, 2.7]]},
         {"n": 3, "members": [["1", 2]]},
+        {"n": -1, "members": [[1, 2]]},
+        {"n": 99, "members": [[1, 2]]},
     ],
 )
 def test_family_json_rejects_non_integers(data):
