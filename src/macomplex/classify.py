@@ -16,7 +16,6 @@ from .complexes import SimplicialComplex, VertexSet
 from .errors import NotApplicableError
 from .nonfaces import (
     NonfaceFamily,
-    intersection_graph,
     minimal_nonfaces,
     restrict_family,
     support,
@@ -56,22 +55,18 @@ class RationalTypeVerdict:
         }
 
 
-def elliptic_model(M: NonfaceFamily, n: int | None = None) -> tuple[tuple[int, ...], int]:
-    """Sphere dimensions {2|m|-1} and disk dimension 2(n - |support|).
+def elliptic_model(M: NonfaceFamily) -> tuple[tuple[int, ...], int]:
+    """Sphere dimensions {2|m|-1} and disk dimension 2(M.n - |support|).
 
     Only valid when the members are pairwise disjoint, i.e. when the
-    complex of ``M`` is a join of simplex boundaries and a simplex.
+    complex of ``M`` is a join of simplex boundaries and a simplex; they
+    are disjoint exactly when their sizes add up to |support|.
     """
-    n = M.n if n is None else n
-    members = M.members
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            if a.mask & b.mask:
-                raise NotApplicableError(
-                    "non-faces intersect; there is no product-of-spheres model"
-                )
-    dims = tuple(sorted(2 * len(m) - 1 for m in members))
-    return dims, 2 * (n - len(support(M)))
+    covered = len(support(M))
+    if sum(len(m) for m in M.members) != covered:
+        raise NotApplicableError("non-faces intersect; there is no product-of-spheres model")
+    dims = tuple(sorted(2 * len(m) - 1 for m in M.members))
+    return dims, 2 * (M.n - covered)
 
 
 def find_witness(M: NonfaceFamily) -> tuple[VertexSet, NonfaceFamily]:
@@ -83,34 +78,31 @@ def find_witness(M: NonfaceFamily) -> tuple[VertexSet, NonfaceFamily]:
     the family's canonical (ascending bitmask) order, which keeps the
     output deterministic.
     """
-    members = M.members
-    best = None
-    best_union = 0
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            if a.mask & b.mask:
-                union = a.mask | b.mask
-                key = (union.bit_count(), (a.mask, b.mask))
-                if best is None or key < best:
-                    best = key
-                    best_union = union
+    best = min(
+        (
+            ((a.mask | b.mask).bit_count(), a.mask, b.mask)
+            for i, a in enumerate(M.members)
+            for b in M.members[i + 1 :]
+            if a.mask & b.mask
+        ),
+        default=None,
+    )
     if best is None:
         raise NotApplicableError("no intersecting pair of non-faces")
-    witness = VertexSet.from_mask(best_union)
+    witness = VertexSet.from_mask(best[1] | best[2])
     return witness, restrict_family(M, witness)
 
 
 def classify(K: SimplicialComplex) -> RationalTypeVerdict:
     """Decide rational ellipticity of Z(K; (D^2, S^1)).
 
-    Purely combinatorial: elliptic iff the intersection graph of the
-    minimal non-faces has no edge.
+    Purely combinatorial: elliptic iff the minimal non-faces are pairwise
+    disjoint.
     """
     M = minimal_nonfaces(K)
-    if not intersection_graph(M).has_edges:
-        dims, disk = elliptic_model(M, K.n)
-        return RationalTypeVerdict(kind="elliptic", sphere_dims=dims, disk_dim=disk)
-    witness, family = find_witness(M)
-    return RationalTypeVerdict(
-        kind="hyperbolic", witness_vertices=witness, witness_family=family
-    )
+    try:
+        dims, disk = elliptic_model(M)
+    except NotApplicableError:
+        witness, family = find_witness(M)
+        return RationalTypeVerdict("hyperbolic", witness_vertices=witness, witness_family=family)
+    return RationalTypeVerdict("elliptic", sphere_dims=dims, disk_dim=disk)

@@ -78,8 +78,7 @@ def _report_loop_ranks(K, args):
     return {
         "model": model.to_json_dict(),
         "ranks": list(series.ranks[1:]),
-        "verdict": growth.kind,
-        "ratio": growth.ratio,
+        **growth.to_json_dict(),
     }
 
 

@@ -74,9 +74,6 @@ class CochainComplexQ:
             return 0
         return dim_j - self._rank(j) - self._rank(j - 1)
 
-    def betti_all(self) -> list[tuple[int, int]]:
-        return [(j, self.betti(j)) for j in self.degrees()]
-
     def representatives(self, j: int) -> list[dict[int, Fraction]]:
         """Cocycle representatives spanning degree-j cohomology.
 
@@ -184,11 +181,10 @@ class CohomologyClass:
 class HochsterTable:
     """Additive decomposition of H^*(Z(K); Q) indexed by (I, degree)."""
 
-    def __init__(self, complex: SimplicialComplex, entries: dict, betti: list[int]):
-        self.complex = complex
+    def __init__(self, faces: list[int], entries: dict, betti: list[int]):
         self.entries = entries
         self.betti = betti
-        self._faces = sorted(complex.face_masks(), key=lambda m: (m.bit_count(), m))
+        self._faces = faces
         self._cochains: dict[int, CochainComplexQ] = {}
 
     def cochain_complex(self, I: VertexSet) -> CochainComplexQ:
@@ -275,7 +271,7 @@ def hochster_table(K: SimplicialComplex) -> HochsterTable:
                 betti_acc[deg] = betti_acc.get(deg, 0) + dim
     top = max(betti_acc)
     betti = [betti_acc.get(d, 0) for d in range(top + 1)]
-    return HochsterTable(K, entries, betti)
+    return HochsterTable(faces, entries, betti)
 
 
 def hochster_betti(K: SimplicialComplex) -> list[int]:

@@ -181,10 +181,6 @@ class SimplicialComplex:
             VertexSet.from_mask(m) for m in sorted(kept, key=lambda m: (m.bit_count(), m))
         )
 
-    @property
-    def dim(self) -> int:
-        return max(len(f) for f in self.facets) - 1
-
     def is_face(self, sigma: VertexSet) -> bool:
         m = sigma.mask
         return any(m & ~f.mask == 0 for f in self.facets)

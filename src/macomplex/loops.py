@@ -16,7 +16,7 @@ the right side being the Poincare series of the loop-space homology
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, exp, log
 
 from .cohomology import hochster_betti, is_trivial_ring
 from .complexes import SimplicialComplex
@@ -56,9 +56,6 @@ class HomotopyRankSeries:
             out[k] = acc
         return out
 
-    def to_json_dict(self) -> dict:
-        return {"ranks": list(self.ranks[1:]), "truncation": self.truncation}
-
 
 @dataclass(frozen=True)
 class GrowthCertificate:
@@ -74,7 +71,9 @@ def wedge_model(K_I: SimplicialComplex) -> SphereModel:
 
     Requires the reduced cohomology ring of Z(K_I) to be trivial; the
     wedge then has one sphere of dimension d per unit of Betti number in
-    each degree d >= 3.
+    each degree d >= 3.  Assumes the minimal non-faces of K_I pairwise
+    intersect, as on the witnesses of ``classify``: a trivial product alone
+    does not give a wedge in general (Katthän, J. Algebra 479, 2017).
     """
     trivial, _ = is_trivial_ring(K_I)
     if not trivial:
@@ -171,7 +170,10 @@ def growth_certificate(series: HomotopyRankSeries, delta: float = 0.05) -> Growt
     half = sums[N // 2]
     ratio = None
     if half > 0:
-        estimate = (sums[N] / half) ** (2.0 / N)
+        try:
+            estimate = (sums[N] / half) ** (2.0 / N)
+        except OverflowError:  # the quotient leaves float range; its N/2-th root need not
+            estimate = exp((log(sums[N]) - log(half)) * 2.0 / N)
         if estimate > 1.0 + delta:
             ratio = round(estimate, 6)
     return GrowthCertificate(kind="exponential", ratio=ratio)

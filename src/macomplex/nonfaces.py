@@ -38,7 +38,7 @@ class NonfaceFamily:
         uniq = sorted(set(sets))
         for i, a in enumerate(uniq):
             for b in uniq[i + 1 :]:
-                if a & ~b == 0 or b & ~a == 0:
+                if a & ~b == 0:  # uniq ascends, so b ⊆ a cannot happen
                     raise InputError("non-face family is not an antichain")
         self.n = n
         self.members = tuple(VertexSet.from_mask(m) for m in uniq)
@@ -90,28 +90,33 @@ class NonfaceGraph:
 
 
 def _minimal_transversals(sets: list[int], universe: int) -> list[int]:
-    """Minimal hitting sets of a family of bitmask sets, ascending by mask."""
+    """Minimal hitting sets of a family of bitmask sets, ascending by mask.
+
+    Berge's method (Eiter & Gottlob, SIAM J. Comput. 24, 1995).  On adding
+    set ``s``, the transversals that hit ``s`` stay, and each ``t`` that
+    misses it grows to ``t | v`` for every vertex ``v`` of ``s``, kept unless
+    it contains a transversal that hit ``s``.  Grown sets need no test among
+    themselves: ``t | v ⊇ t' | v'`` forces ``v' = v``, as ``t`` misses ``s``,
+    so ``t ⊇ t'``, which the antichain of old transversals rules out.
+    """
     transversals = [0]
     for s in sets:
         s &= universe
         if s == 0:
             return []
-        hit = []
-        miss = []
+        hit = [t for t in transversals if t & s]
+        grown = []
         for t in transversals:
-            (hit if t & s else miss).append(t)
-        candidates = list(hit)
-        for t in miss:
+            if t & s:
+                continue
             rest = s
             while rest:
-                low = rest & -rest
-                candidates.append(t | low)
-                rest ^= low
-        kept: list[int] = []
-        for c in sorted(set(candidates), key=lambda m: (m.bit_count(), m)):
-            if not any(k & c == k for k in kept):
-                kept.append(c)
-        transversals = kept
+                v = rest & -rest
+                rest ^= v
+                c = t | v
+                if not any(h & c == h for h in hit):
+                    grown.append(c)
+        transversals = hit + grown
     return sorted(transversals)
 
 
@@ -131,17 +136,11 @@ def minimal_nonfaces(K: SimplicialComplex) -> NonfaceFamily:
     return NonfaceFamily(K.n, [VertexSet.from_mask(m) for m in members])
 
 
-def reconstruct(M: NonfaceFamily, n: int | None = None) -> SimplicialComplex:
-    """The complex on 1..n whose faces are the sets containing no member of ``M``."""
-    n = M.n if n is None else n
-    full = (1 << n) - 1
-    member_masks = [m.mask for m in M.members]
-    if any(m & ~full for m in member_masks):
-        raise InputError(f"family members do not fit in 1..{n}")
-    facets = [
-        VertexSet.from_mask(full ^ t) for t in _minimal_transversals(member_masks, full)
-    ]
-    return SimplicialComplex(n, facets)
+def reconstruct(M: NonfaceFamily) -> SimplicialComplex:
+    """The complex on 1..M.n whose faces are the sets containing no member of ``M``."""
+    full = (1 << M.n) - 1
+    transversals = _minimal_transversals([m.mask for m in M.members], full)
+    return SimplicialComplex(M.n, [VertexSet.from_mask(full ^ t) for t in transversals])
 
 
 def support(M: NonfaceFamily) -> VertexSet:
@@ -169,19 +168,15 @@ def relabel_family(M: NonfaceFamily, I: VertexSet) -> NonfaceFamily:
     )
 
 
-def ghost_split(M: NonfaceFamily, n: int | None = None) -> tuple[SimplicialComplex, int]:
+def ghost_split(M: NonfaceFamily) -> tuple[SimplicialComplex, int]:
     """Split off the vertices in no member as a cone (simplex) factor.
 
     Returns the reduced complex on the support (relabelled onto 1..n') and
-    the number of cone vertices n - n'; the original complex is the join of
-    the two up to relabelling.
+    the number of cone vertices M.n - n'; the original complex is the join
+    of the two up to relabelling.
     """
-    n = M.n if n is None else n
     nu = support(M)
-    if nu.mask >> n:
-        raise InputError(f"family members do not fit in 1..{n}")
-    reduced = reconstruct(relabel_family(M, nu), len(nu))
-    return reduced, n - len(nu)
+    return reconstruct(relabel_family(M, nu)), M.n - len(nu)
 
 
 def intersection_graph(M: NonfaceFamily) -> NonfaceGraph:

@@ -105,14 +105,14 @@ def test_criterion_04_round_trip():
     for n in range(0, 6):
         for K in enumerate_complexes(n):
             if len(K.covered_vertices()) == K.n:
-                assert reconstruct(minimal_nonfaces(K), n) == K
+                assert reconstruct(minimal_nonfaces(K)) == K
             else:
                 with pytest.raises(GhostVertexError):
                     minimal_nonfaces(K)
     rng = random.Random(404)
     for i in range(500):
         K = random_complex(rng.randint(1, 8), seed=10_000 + i)
-        assert reconstruct(minimal_nonfaces(K), K.n) == K
+        assert reconstruct(minimal_nonfaces(K)) == K
 
 
 def test_criterion_05_restriction_equality():
@@ -121,11 +121,11 @@ def test_criterion_05_restriction_equality():
     for sample in range(200):
         n = rng.randint(2, 8)
         M = random_family(rng, n)
-        K = reconstruct(M, n)
+        K = reconstruct(M)
         for I_mask in range(1 << n):
             I = VertexSet.from_mask(I_mask)
             lhs = full_subcomplex(K, I)
-            rhs = reconstruct(relabel_family(restrict_family(M, I), I), len(I))
+            rhs = reconstruct(relabel_family(restrict_family(M, I), I))
             assert lhs == rhs, (M, list(I.vertices()))
 
 

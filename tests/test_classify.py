@@ -167,7 +167,7 @@ def test_classify_matches_reconstruction():
     for _ in range(40):
         n = rng.randint(2, 8)
         M = random_family(rng, n)
-        K = reconstruct(M, n)
+        K = reconstruct(M)
         assert minimal_nonfaces(K) == M
         verdict = classify(K)
         has_edge = intersection_graph(M).has_edges

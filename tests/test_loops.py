@@ -3,6 +3,7 @@ import random
 import pytest
 
 from macomplex import (
+    HomotopyRankSeries,
     InputError,
     NonfaceFamily,
     NotApplicableError,
@@ -104,6 +105,22 @@ def test_growth_ratio_matches_closed_form():
     assert sums[24] > 2 * sums[12] > 2
     cert = growth_certificate(series)
     assert 1.2 < cert.ratio < 1.5
+
+
+def test_growth_ratio_past_float_range():
+    # S_N / S_{N/2} is about 4^(N/2); at N = 1200 that quotient is 2^1200,
+    # beyond float range, while its (N/2)-th root is 4
+    N = 1200
+    ranks = (0,) + tuple(4**k for k in range(1, N + 1))
+    series = HomotopyRankSeries(ranks, N, SphereModel("wedge", (3, 3)))
+    sums = series.partial_sums()
+    assert sums[N] // sums[N // 2] > 10**308
+    cert = growth_certificate(series)
+    assert cert.kind == "exponential" and cert.ratio == 4.0
+    # inside float range the estimate is the plain quotient's root, as before
+    short = HomotopyRankSeries(ranks[:201], 200, series.model)
+    sums = short.partial_sums()
+    assert growth_certificate(short).ratio == round((sums[200] / sums[100]) ** (2.0 / 200), 6)
 
 
 def test_two_equal_generators_match_necklace_counts():

@@ -12,6 +12,7 @@ from macomplex import (
     VertexSet,
     boundary_simplex,
     component_decomposition,
+    cycle,
     from_facets,
     full_subcomplex,
     ghost_split,
@@ -25,6 +26,7 @@ from macomplex import (
     simplex,
     support,
 )
+from macomplex.nonfaces import _minimal_transversals
 from oracles import (
     brute_minimal_nonfaces,
     brute_reconstruct_facets,
@@ -104,6 +106,42 @@ def test_minimal_nonfaces_matches_bruteforce():
         assert members_as_sets(minimal_nonfaces(K)) == brute_minimal_nonfaces(K)
 
 
+def brute_minimal_transversals(sets: list[int], universe: int) -> list[int]:
+    hitting = {t for t in range(universe + 1) if t & ~universe == 0 and all(t & s for s in sets)}
+    return sorted(
+        t for t in hitting if all(t ^ (1 << i) not in hitting for i in range(10) if t >> i & 1)
+    )
+
+
+@given(
+    st.integers(0, 511),
+    st.lists(st.integers(0, 1023), max_size=7),
+    st.integers(0, 7),
+    st.integers(0, 1023),
+)
+def test_minimal_transversals_match_bruteforce(universe, sets, repeat, extra):
+    # bit 9 lies outside every universe; duplicates and supersets of earlier
+    # sets are appended, and a set missing the universe leaves no transversal
+    sets = sets + sets[:repeat] + [s | extra for s in sets[:repeat]]
+    assert _minimal_transversals(sets, universe) == brute_minimal_transversals(sets, universe)
+
+
+def test_minimal_transversals_edge_cases():
+    assert _minimal_transversals([], 0b111) == [0]
+    assert _minimal_transversals([0b011, 0], 0b111) == []
+    assert _minimal_transversals([0b1000], 0b111) == []
+    assert _minimal_transversals([0b011, 0b011, 0b111], 0b111) == [0b001, 0b010]
+
+
+@pytest.mark.parametrize("m", [40, 63])
+def test_long_cycle_nonfaces_are_the_non_edges(m):
+    K = cycle(m)
+    M = minimal_nonfaces(K)
+    assert len(M) == m * (m - 3) // 2
+    assert all(len(x) == 2 and not K.is_face(x) for x in M)
+    assert reconstruct(M) == K
+
+
 def test_ghost_vertex_error():
     with pytest.raises(GhostVertexError) as excinfo:
         minimal_nonfaces(from_facets(3, [[1, 2]]))
@@ -126,7 +164,7 @@ def test_reconstruct_matches_bruteforce():
     for _ in range(40):
         n = rng.randint(2, 7)
         M = random_family(rng, n)
-        got = facet_sets(reconstruct(M, n))
+        got = facet_sets(reconstruct(M))
         want = brute_reconstruct_facets([m.vertices() for m in M], n)
         assert got == want, M
 
@@ -135,7 +173,7 @@ def test_round_trip_exhaustive_small():
     for n in range(0, 5):
         for K in enumerate_complexes(n):
             if len(K.covered_vertices()) == K.n:
-                assert reconstruct(minimal_nonfaces(K), n) == K
+                assert reconstruct(minimal_nonfaces(K)) == K
             else:
                 with pytest.raises(GhostVertexError):
                     minimal_nonfaces(K)
@@ -146,7 +184,7 @@ def test_dual_round_trip_random():
     for _ in range(120):
         n = rng.randint(2, 8)
         M = random_family(rng, n)
-        assert minimal_nonfaces(reconstruct(M, n)) == M
+        assert minimal_nonfaces(reconstruct(M)) == M
 
 
 @given(
@@ -162,7 +200,7 @@ def test_round_trip_property(n, raw_facets):
     facets = [f for f in facets if f]
     facets += [[v] for v in range(1, n + 1)]  # keep every singleton a face
     K = from_facets(n, facets)
-    assert reconstruct(minimal_nonfaces(K), n) == K
+    assert reconstruct(minimal_nonfaces(K)) == K
 
 
 def test_support():
@@ -189,12 +227,12 @@ def test_ghost_split_join_equality():
         n = rng.randint(2, 8)
         sub = rng.randint(2, n)
         M = NonfaceFamily(n, [list(m.vertices()) for m in random_family(rng, sub)])
-        reduced, cone = ghost_split(M, n)
+        reduced, cone = ghost_split(M)
         joined = join(reduced, simplex(cone - 1)) if cone else reduced
         nu = sorted(support(M).vertices())
         rest = sorted(set(range(1, n + 1)) - set(nu))
         mapping = {i + 1: v for i, v in enumerate(nu + rest)}
-        assert relabel_complex(joined, mapping) == reconstruct(M, n)
+        assert relabel_complex(joined, mapping) == reconstruct(M)
 
 
 def test_intersection_graph_examples(c5):
@@ -225,7 +263,7 @@ def test_component_decomposition_examples(c4):
     # single member reconstructs to a simplex boundary
     M = NonfaceFamily(4, [[1, 2, 3, 4]])
     [(part, sup)] = component_decomposition(M)
-    assert reconstruct(relabel_family(part, sup), len(sup)) == boundary_simplex(3)
+    assert reconstruct(relabel_family(part, sup)) == boundary_simplex(3)
     assert component_decomposition(NonfaceFamily(3, [])) == []
 
 
@@ -242,12 +280,12 @@ def test_component_join_equality():
         joined = None
         order: list[int] = []
         for part, sup in parts:
-            piece = reconstruct(relabel_family(part, sup), len(sup))
+            piece = reconstruct(relabel_family(part, sup))
             joined = piece if joined is None else join(joined, piece)
             order.extend(sorted(sup.vertices()))
         nu = sorted(support(M).vertices())
         mapping = {i + 1: nu.index(v) + 1 for i, v in enumerate(order)}
-        expected = reconstruct(relabel_family(M, support(M)), len(nu))
+        expected = reconstruct(relabel_family(M, support(M)))
         assert relabel_complex(joined, mapping) == expected
 
 
@@ -276,7 +314,7 @@ def test_disjoint_members_give_join_of_boundaries():
         order = [v for m in sorted(members) for v in m]
         nu = sorted(support(M).vertices())
         mapping = {i + 1: nu.index(v) + 1 for i, v in enumerate(order)}
-        expected = reconstruct(relabel_family(M, support(M)), len(nu))
+        expected = reconstruct(relabel_family(M, support(M)))
         assert relabel_complex(joined, mapping) == expected
 
 
@@ -296,9 +334,9 @@ def test_restriction_equality_all_subsets():
     for _ in range(25):
         n = rng.randint(2, 7)
         M = random_family(rng, n)
-        K = reconstruct(M, n)
+        K = reconstruct(M)
         for I_mask in range(1 << n):
             I = VertexSet.from_mask(I_mask)
             lhs = full_subcomplex(K, I)
-            rhs = reconstruct(relabel_family(restrict_family(M, I), I), len(I))
+            rhs = reconstruct(relabel_family(restrict_family(M, I), I))
             assert lhs == rhs
