@@ -10,9 +10,9 @@ witnesses hyperbolicity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .complexes import SimplicialComplex, VertexSet
+from .complexes import SimplicialComplex, VertexSet, _MembershipIndex
 from .errors import NotApplicableError
 from .nonfaces import (
     NonfaceFamily,
@@ -22,8 +22,7 @@ from .nonfaces import (
 )
 
 
-@dataclass(frozen=True)
-class RationalTypeVerdict:
+class RationalTypeVerdict(NamedTuple):
     """Outcome of the classification.
 
     Elliptic verdicts carry the sphere dimensions (ascending, all odd) and
@@ -76,17 +75,29 @@ def find_witness(M: NonfaceFamily) -> tuple[VertexSet, NonfaceFamily]:
     minimality forces every further non-face inside the union to meet all
     the others.  Ties are broken by the lexicographically first pair in
     the family's canonical (ascending bitmask) order, which keeps the
-    output deterministic.
+    output deterministic: the pair is the ``min`` of the key
+    ``(union size, a, b)`` over the intersecting pairs ``a < b``.
+
+    The pairs are visited in ascending order of ``(a, b)``, each ``a`` only
+    with the later members that meet it (an OR of the membership index), so
+    the first pair of the smallest union size is that minimum.  A member ``a``
+    is skipped once that size is at most ``|a| + 1``, the least union of
+    ``a`` with a member that neither contains nor equals it.
     """
-    best = min(
-        (
-            ((a.mask | b.mask).bit_count(), a.mask, b.mask)
-            for i, a in enumerate(M.members)
-            for b in M.members[i + 1 :]
-            if a.mask & b.mask
-        ),
-        default=None,
-    )
+    members = [m.mask for m in M.members]
+    index = _MembershipIndex(members)
+    best = None
+    for i, a in enumerate(members):
+        if best is not None and best[0] <= a.bit_count() + 1:
+            continue
+        later = index.meeting(a) >> (i + 1)
+        while later:
+            low = later & -later
+            later ^= low
+            b = members[i + low.bit_length()]
+            size = (a | b).bit_count()
+            if best is None or size < best[0]:
+                best = (size, a, b)
     if best is None:
         raise NotApplicableError("no intersecting pair of non-faces")
     witness = VertexSet.from_mask(best[1] | best[2])

@@ -313,10 +313,10 @@ def star_product(
     q = beta.degree
     union = VertexSet.from_mask(J | L)
     r = p + q + 1
-    cx = table.cochain_complex(union)
     if J & L:
         dim = table.dimension(union, r)
         return CohomologyClass(union, r, {}, (Fraction(0),) * dim, table)
+    cx = table.cochain_complex(union)
     global_sign = -1 if ((p + 1) * q) % 2 else 1
     cochain: dict[int, Fraction] = {}
     for tau in cx.basis.get(r, []):

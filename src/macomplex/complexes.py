@@ -130,12 +130,74 @@ class VertexSet:
         return f"VertexSet({list(self.vertices())})"
 
 
+class _MembershipIndex:
+    """For each vertex bit, the bitset of the indices of the sets holding it.
+
+    Sets are numbered in the order they are added.  ``containing(m)`` ANDs
+    those bitsets over the vertices of ``m`` and ``meeting(m)`` ORs them, so
+    a query costs |m| big-int operations instead of a scan over every set
+    (the vertex-keyed tests of Murakami & Uno, Discrete Appl. Math. 170,
+    2014).
+    """
+
+    __slots__ = ("size", "_holding")
+
+    def __init__(self, masks: Iterable[int] = ()):
+        self.size = 0
+        self._holding: dict[int, int] = {}
+        for m in masks:
+            self.add(m)
+
+    def add(self, mask: int) -> None:
+        bit = 1 << self.size
+        self.size += 1
+        holding = self._holding
+        while mask:
+            low = mask & -mask
+            holding[low] = holding.get(low, 0) | bit
+            mask ^= low
+
+    def containing(self, mask: int) -> int:
+        """Bitset of the indexed sets that contain ``mask``."""
+        found = (1 << self.size) - 1
+        while mask and found:
+            low = mask & -mask
+            found &= self._holding.get(low, 0)
+            mask ^= low
+        return found
+
+    def meeting(self, mask: int) -> int:
+        """Bitset of the indexed sets that share a vertex with ``mask``."""
+        found = 0
+        while mask:
+            low = mask & -mask
+            found |= self._holding.get(low, 0)
+            mask ^= low
+        return found
+
+
 def _maximal_masks(masks: Iterable[int]) -> list[int]:
+    """The inclusion-maximal sets among ``masks``, ascending by (size, mask).
+
+    Duplicates count once, and no sets at all give ``[0]``, the complex
+    {{}}.  Two distinct sets of one size cannot contain each other, so the
+    sets are visited from the largest size down and each is tested only
+    against the kept sets of strictly larger size.  Those are indexed one
+    size group at a time, when the next smaller size begins, so an input
+    whose sets all have one size builds no index and makes no test.
+    """
     uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m), reverse=True)
     kept: list[int] = []
+    larger = _MembershipIndex()
+    size = None
     for m in uniq:
-        if not any(m & ~k == 0 for k in kept):
+        if m.bit_count() != size:  # a smaller size begins: index the kept sets so far
+            size = m.bit_count()
+            for k in kept[larger.size :]:
+                larger.add(k)
+        if not larger.containing(m):
             kept.append(m)
+    kept.reverse()
     return kept or [0]
 
 
@@ -175,11 +237,8 @@ class SimplicialComplex:
                     f"facet {list(vs.vertices())} uses a vertex above n={n}"
                 )
             masks.append(vs.mask)
-        kept = _maximal_masks(masks)
         self.n = n
-        self.facets = tuple(
-            VertexSet.from_mask(m) for m in sorted(kept, key=lambda m: (m.bit_count(), m))
-        )
+        self.facets = tuple(VertexSet.from_mask(m) for m in _maximal_masks(masks))
 
     def is_face(self, sigma: VertexSet) -> bool:
         m = sigma.mask

@@ -15,16 +15,16 @@ the right side being the Poincare series of the loop-space homology
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, exp, log
+from typing import NamedTuple
 
 from .cohomology import hochster_betti, is_trivial_ring
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _MembershipIndex
 from .errors import InputError, NotApplicableError
+from .nonfaces import minimal_nonfaces
 
 
-@dataclass(frozen=True)
-class SphereModel:
+class SphereModel(NamedTuple):
     """A product or wedge of spheres, recorded by the multiset of dimensions."""
 
     kind: str  # "product" | "wedge"
@@ -34,8 +34,7 @@ class SphereModel:
         return {"kind": self.kind, "dims": list(self.dims)}
 
 
-@dataclass(frozen=True)
-class HomotopyRankSeries:
+class HomotopyRankSeries(NamedTuple):
     """Ranks l_k of pi_{k+1} (x) Q of a sphere model, truncated at N.
 
     ``ranks[k]`` is l_k for 0 <= k <= N (index 0 unused and zero).
@@ -57,8 +56,7 @@ class HomotopyRankSeries:
         return out
 
 
-@dataclass(frozen=True)
-class GrowthCertificate:
+class GrowthCertificate(NamedTuple):
     kind: str  # "finite" | "exponential"
     ratio: float | None = None
 
@@ -66,15 +64,38 @@ class GrowthCertificate:
         return {"verdict": self.kind, "ratio": self.ratio}
 
 
+def _nonfaces_pairwise_intersect(K: SimplicialComplex) -> bool:
+    """Whether every two minimal non-faces of ``K`` share a vertex.
+
+    A ghost vertex v (in no facet) is the one-element non-face {v}, which
+    misses every other minimal non-face; so a ghost is allowed only when it
+    is the sole non-face, that is, alone and beside a single facet.
+    """
+    ghosts = ((1 << K.n) - 1) & ~K.covered_vertices().mask
+    if ghosts:
+        return ghosts & (ghosts - 1) == 0 and len(K.facets) == 1
+    members = [m.mask for m in minimal_nonfaces(K)]
+    index = _MembershipIndex(members)
+    everyone = (1 << len(members)) - 1
+    return all(index.meeting(m) == everyone for m in members)
+
+
 def wedge_model(K_I: SimplicialComplex) -> SphereModel:
     """Wedge of spheres carrying the rational type of Z(K_I).
 
     Requires the reduced cohomology ring of Z(K_I) to be trivial; the
     wedge then has one sphere of dimension d per unit of Betti number in
-    each degree d >= 3.  Assumes the minimal non-faces of K_I pairwise
-    intersect, as on the witnesses of ``classify``: a trivial product alone
-    does not give a wedge in general (Katthän, J. Algebra 479, 2017).
+    each degree d >= 3.  Also requires the minimal non-faces of K_I to
+    pairwise intersect, as on the witnesses of ``classify``, and checks it:
+    a trivial product alone does not give a wedge in general (Katthän,
+    J. Algebra 479, 2017).  The condition is sufficient, not necessary;
+    two disjoint edges, say, are declined although their Z(K) is a wedge.
     """
+    if not _nonfaces_pairwise_intersect(K_I):
+        raise NotApplicableError(
+            "two minimal non-faces are disjoint; the wedge model needs them "
+            "to pairwise intersect"
+        )
     trivial, _ = is_trivial_ring(K_I)
     if not trivial:
         raise NotApplicableError(

@@ -14,7 +14,14 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .complexes import SimplicialComplex, VertexSet, _check_vertex_count, _compress_mask, _parse_json
+from .complexes import (
+    SimplicialComplex,
+    VertexSet,
+    _check_vertex_count,
+    _compress_mask,
+    _MembershipIndex,
+    _parse_json,
+)
 from .errors import GhostVertexError, InputError
 
 
@@ -36,10 +43,10 @@ class NonfaceFamily:
                 )
             sets.append(vs.mask)
         uniq = sorted(set(sets))
+        index = _MembershipIndex(uniq)
         for i, a in enumerate(uniq):
-            for b in uniq[i + 1 :]:
-                if a & ~b == 0:  # uniq ascends, so b ⊆ a cannot happen
-                    raise InputError("non-face family is not an antichain")
+            if index.containing(a) != 1 << i:  # some other member contains a
+                raise InputError("non-face family is not an antichain")
         self.n = n
         self.members = tuple(VertexSet.from_mask(m) for m in uniq)
 
@@ -95,26 +102,38 @@ def _minimal_transversals(sets: list[int], universe: int) -> list[int]:
     Berge's method (Eiter & Gottlob, SIAM J. Comput. 24, 1995).  On adding
     set ``s``, the transversals that hit ``s`` stay, and each ``t`` that
     misses it grows to ``t | v`` for every vertex ``v`` of ``s``, kept unless
-    it contains a transversal that hit ``s``.  Grown sets need no test among
-    themselves: ``t | v ⊇ t' | v'`` forces ``v' = v``, as ``t`` misses ``s``,
-    so ``t ⊇ t'``, which the antichain of old transversals rules out.
+    it contains a transversal that hit ``s``.  Such a transversal ``h`` meets
+    ``s`` inside ``(t | v) & s = v``, so only the hit transversals that meet
+    ``s`` in ``v`` alone are tested; they are keyed by ``v`` (the vertex-keyed
+    minimality test of Murakami & Uno, Discrete Appl. Math. 170, 2014).
+    Grown sets need no test among themselves: ``t | v ⊇ t' | v'`` forces
+    ``v' = v``, as ``t`` misses ``s``, so ``t ⊇ t'``, which the antichain of
+    old transversals rules out.
     """
     transversals = [0]
     for s in sets:
         s &= universe
         if s == 0:
             return []
-        hit = [t for t in transversals if t & s]
-        grown = []
+        hit = []
+        missed = []
+        only_at: dict[int, list[int]] = {}  # v -> hit transversals h with h & s == v
         for t in transversals:
-            if t & s:
+            x = t & s
+            if not x:
+                missed.append(t)
                 continue
+            hit.append(t)
+            if x & (x - 1) == 0:
+                only_at.setdefault(x, []).append(t)
+        grown = []
+        for t in missed:
             rest = s
             while rest:
                 v = rest & -rest
                 rest ^= v
                 c = t | v
-                if not any(h & c == h for h in hit):
+                if not any(h & c == h for h in only_at.get(v, ())):
                     grown.append(c)
         transversals = hit + grown
     return sorted(transversals)

@@ -1,13 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from macomplex import (
     NonfaceFamily,
     NotApplicableError,
+    SimplicialComplex,
     VertexSet,
     boundary_simplex,
     classify,
+    cycle,
     elliptic_model,
     find_witness,
     full_subcomplex,
@@ -18,6 +22,7 @@ from macomplex import (
     rank_relabel,
     random_complex,
     reconstruct,
+    restrict_family,
     simplex,
 )
 from oracles import convolve, random_family, random_intersecting_family
@@ -75,6 +80,57 @@ def test_find_witness_examples():
 def test_find_witness_requires_intersections():
     with pytest.raises(NotApplicableError):
         find_witness(NonfaceFamily(4, [[1, 3], [2, 4]]))
+
+
+def all_pairs_witness(M):
+    """The witness key as the all-pairs ``min`` over intersecting pairs."""
+    members = M.members
+    return min(
+        (
+            ((a.mask | b.mask).bit_count(), a.mask, b.mask)
+            for i, a in enumerate(members)
+            for b in members[i + 1 :]
+            if a.mask & b.mask
+        ),
+        default=None,
+    )
+
+
+@given(st.lists(st.integers(0, 1023).filter(lambda m: m.bit_count() >= 2), max_size=12))
+def test_find_witness_matches_all_pairs_min(masks):
+    antichain = [m for m in set(masks) if not any(m != k and k & ~m == 0 for k in masks)]
+    M = NonfaceFamily(10, [VertexSet.from_mask(m) for m in antichain])
+    best = all_pairs_witness(M)
+    if best is None:
+        with pytest.raises(NotApplicableError):
+            find_witness(M)
+        return
+    I, MI = find_witness(M)
+    assert I.mask == best[1] | best[2]
+    assert MI == restrict_family(M, I)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_witness_ignores_input_order(seed):
+    rng = random.Random(seed)
+    M = random_intersecting_family(rng, 9)
+    expected = find_witness(M)
+    K = reconstruct(M)
+    verdict = classify(K)
+    for _ in range(5):
+        members = list(M.members)
+        rng.shuffle(members)
+        assert find_witness(NonfaceFamily(M.n, members)) == expected
+        facets = list(K.facets)
+        rng.shuffle(facets)
+        assert classify(SimplicialComplex(K.n, facets)) == verdict
+    assert verdict.witness_vertices == expected[0]
+
+
+def test_long_cycle_witness():
+    verdict = classify(cycle(63))
+    assert verdict.witness_vertices == VertexSet([1, 3, 4])
+    assert [list(m) for m in verdict.witness_family] == [[1, 3], [1, 4]]
 
 
 def test_elliptic_model_examples():

@@ -15,6 +15,7 @@ from macomplex import (
     relabel_complex,
     simplex,
 )
+from macomplex.complexes import _maximal_masks
 from oracles import brute_faces, brute_is_face, facet_sets
 
 
@@ -252,3 +253,34 @@ def test_rank_relabel():
     assert rank_relabel(VertexSet([3, 5]), VertexSet([1, 3, 5])) == VertexSet([2, 3])
     with pytest.raises(InputError):
         rank_relabel(VertexSet([2]), VertexSet([1, 3]))
+
+
+def brute_maximal_masks(masks):
+    uniq = set(masks)
+    kept = [m for m in uniq if not any(m != k and m & ~k == 0 for k in uniq)]
+    return sorted(kept, key=lambda m: (m.bit_count(), m)) or [0]
+
+
+THREE_SETS = [m for m in range(256) if m.bit_count() == 3]
+
+
+@given(
+    st.lists(st.integers(0, 255), max_size=12),
+    st.lists(st.sampled_from(THREE_SETS), max_size=8),
+    st.integers(0, 255),
+    st.integers(0, 8),
+    st.booleans(),
+)
+def test_maximal_masks_match_bruteforce(masks, same_size, top, chain_length, empty):
+    # a group of equal size, a nested chain below ``top``, duplicates of
+    # everything and possibly the empty set ride along
+    chain = [top >> i << i for i in range(chain_length)]
+    masks = masks + same_size + chain + masks[:3] + same_size[:2] + ([0] if empty else [])
+    assert _maximal_masks(masks) == brute_maximal_masks(masks)
+
+
+def test_maximal_masks_edge_cases():
+    assert _maximal_masks([]) == [0]
+    assert _maximal_masks([0, 0]) == [0]
+    assert _maximal_masks([0b11, 0b101, 0b110]) == [0b11, 0b101, 0b110]
+    assert _maximal_masks([0b1, 0b11, 0b111, 0b11]) == [0b111]

@@ -7,12 +7,14 @@ from macomplex import (
     InputError,
     NonfaceFamily,
     NotApplicableError,
+    SimplicialComplex,
     SphereModel,
     boundary_simplex,
     classify,
     free_lie_ranks,
     full_subcomplex,
     growth_certificate,
+    is_trivial_ring,
     product_ranks,
     reconstruct,
     wedge_model,
@@ -159,6 +161,21 @@ def test_wedge_model_path_complex():
 def test_wedge_model_requires_trivial_ring(c4):
     with pytest.raises(NotApplicableError):
         wedge_model(c4)
+
+
+def test_wedge_model_checks_its_hypothesis():
+    # two disjoint edges: the ring is trivial, but the non-faces {1,3} and
+    # {2,4} are disjoint, so the wedge model's hypothesis fails
+    K = SimplicialComplex(4, [[1, 2], [3, 4]])
+    assert is_trivial_ring(K)[0]
+    with pytest.raises(NotApplicableError, match="pairwise intersect"):
+        wedge_model(K)
+    # two ghost vertices are the disjoint non-faces {1} and {2}
+    with pytest.raises(NotApplicableError, match="pairwise intersect"):
+        wedge_model(SimplicialComplex(2, []))
+    # a lone ghost beside one facet is the only non-face, so it passes the check
+    with pytest.raises(InputError, match="2-connectivity"):
+        wedge_model(SimplicialComplex(2, [[1]]))
 
 
 def test_free_lie_ranks_input_validation():

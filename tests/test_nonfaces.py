@@ -51,6 +51,23 @@ def test_family_validation():
     assert [m.mask for m in M] == sorted(m.mask for m in M)
 
 
+@given(
+    st.lists(st.integers(0, 255).filter(lambda m: m.bit_count() >= 2), max_size=10),
+    st.integers(0, 10),
+    st.integers(0, 255),
+)
+def test_family_rejects_exactly_the_nested_pairs(masks, repeat, extra):
+    # duplicates and supersets of earlier members are appended
+    masks = masks + masks[:repeat] + [m | extra for m in masks[:repeat]]
+    nested = any(a != b and a & ~b == 0 for a in masks for b in masks)
+    members = [VertexSet.from_mask(m) for m in masks]
+    if nested:
+        with pytest.raises(InputError, match="antichain"):
+            NonfaceFamily(8, members)
+    else:
+        assert [m.mask for m in NonfaceFamily(8, members)] == sorted(set(masks))
+
+
 @pytest.mark.parametrize("n", [True, 3.0, -1, 64, 99])
 def test_family_vertex_count_is_an_integer_in_range(n):
     with pytest.raises(InputError):
