@@ -17,6 +17,7 @@ from typing import Iterable
 from .complexes import (
     SimplicialComplex,
     VertexSet,
+    _bits,
     _check_vertex_count,
     _compress_mask,
     _MembershipIndex,
@@ -199,35 +200,31 @@ def ghost_split(M: NonfaceFamily) -> tuple[SimplicialComplex, int]:
 
 
 def intersection_graph(M: NonfaceFamily) -> NonfaceGraph:
-    """Graph on the members with an edge for each intersecting pair."""
-    members = M.members
-    k = len(members)
-    edges = tuple(
-        (i, j)
-        for i in range(k)
-        for j in range(i + 1, k)
-        if members[i].mask & members[j].mask
-    )
-    adjacency = {i: set() for i in range(k)}
-    for i, j in edges:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    seen: set[int] = set()
-    components = []
-    for i in range(k):
-        if i in seen:
-            continue
-        stack = [i]
-        comp = []
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            comp.append(v)
-            stack.extend(adjacency[v] - seen)
-        components.append(tuple(sorted(comp)))
-    return NonfaceGraph(members, edges, tuple(components))
+    """Graph on the members with an edge for each intersecting pair.
+
+    Edges come in ascending (i, j) order: the later members that meet
+    member i are read off the membership index.  Components are found by
+    merging vertex supports: each member joins every group whose support it
+    meets, and the supports of different groups stay disjoint, so there are
+    never more groups than vertices.
+    """
+    masks = [m.mask for m in M.members]
+    index = _MembershipIndex(masks)
+    edges = []
+    groups: list[tuple[int, int]] = []  # (support, bitset of member indices)
+    for i, a in enumerate(masks):
+        edges.extend((i, i + j) for j in _bits(index.meeting(a) >> (i + 1)))
+        support, held = a, 1 << i
+        apart = []
+        for group in groups:
+            if group[0] & a:
+                support |= group[0]
+                held |= group[1]
+            else:
+                apart.append(group)
+        groups = apart + [(support, held)]
+    components = sorted(tuple(j - 1 for j in _bits(held)) for _, held in groups)
+    return NonfaceGraph(M.members, tuple(edges), tuple(components))
 
 
 def component_decomposition(M: NonfaceFamily) -> list[tuple[NonfaceFamily, VertexSet]]:

@@ -138,6 +138,31 @@ def random_family(rng: random.Random, n: int, max_members: int = 6) -> NonfaceFa
     return NonfaceFamily(n, [sorted(m) for m in members])
 
 
+# ---------------------------------------------------------------------------
+# random complexes that are rarely a full simplex
+
+
+def flag_complex(rng: random.Random, n: int, p: float) -> SimplicialComplex:
+    """Clique complex of a G(n, p) random graph, every clique found by a subset scan."""
+    vertices = range(1, n + 1)
+    edges = {pair for pair in combinations(vertices, 2) if rng.random() < p}
+    cliques = [
+        list(c)
+        for r in range(1, n + 1)
+        for c in combinations(vertices, r)
+        if all(pair in edges for pair in combinations(c, 2))
+    ]
+    return SimplicialComplex(n, cliques)
+
+
+def bounded_complex(rng: random.Random, n: int, max_size: int) -> SimplicialComplex:
+    """Random facets of at most ``max_size`` vertices; every vertex is covered."""
+    facets = [rng.sample(range(1, n + 1), rng.randint(1, min(max_size, n))) for _ in range(n)]
+    covered = {v for f in facets for v in f}
+    facets += [[v] for v in range(1, n + 1) if v not in covered]
+    return SimplicialComplex(n, facets)
+
+
 def random_intersecting_family(rng: random.Random, n: int) -> NonfaceFamily:
     """A random family guaranteed to contain an intersecting pair."""
     while True:

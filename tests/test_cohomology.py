@@ -7,13 +7,17 @@ from hypothesis import strategies as st
 
 from macomplex import (
     InputError,
+    SimplicialComplex,
     VertexSet,
     boundary_simplex,
+    cross_polytope,
+    cycle,
     from_facets,
     full_subcomplex,
     hochster_betti,
     hochster_table,
     is_trivial_ring,
+    join,
     random_complex,
     reconstruct,
     reduced_cohomology,
@@ -21,9 +25,15 @@ from macomplex import (
     star_product,
     star_product_scan,
 )
-from macomplex.cohomology import CochainComplexQ
+from macomplex.cohomology import CochainComplexQ, _unions_of_minimal_nonfaces
 from macomplex.linalg import RowSpan, kernel_basis, rank_sparse, solve_columns
-from oracles import random_pairwise_intersecting_family
+from oracles import (
+    bounded_complex,
+    brute_minimal_nonfaces,
+    flag_complex,
+    random_family,
+    random_pairwise_intersecting_family,
+)
 
 
 def dims_by_degree(K):
@@ -185,6 +195,161 @@ def test_hochster_table_serialisation(c4):
     assert {"I": [], "j": -1, "dim": 1} in data["entries"]
     assert {"I": [1, 3], "j": 0, "dim": 1} in data["entries"]
     assert {"I": [1, 2, 3, 4], "j": 1, "dim": 1} in data["entries"]
+
+
+# ---------------------------------------------------------------------------
+# the pruned table against the full 2^n loop
+
+
+@st.composite
+def nondegenerate_complexes(draw, max_n):
+    """G(n, p) flag complexes, bounded facet sizes or reconstructed families,
+    with up to two vertices then removed from every facet (ghost vertices)."""
+    n = draw(st.integers(1, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["flag", "bounded", "reconstruct"]))
+    if kind == "flag":
+        K = flag_complex(rng, n, draw(st.sampled_from([0.3, 0.5, 0.7])))
+    elif kind == "bounded":
+        K = bounded_complex(rng, n, draw(st.integers(1, 4)))
+    else:
+        K = reconstruct(random_family(rng, max(n, 2)))
+    ghosts = VertexSet(draw(st.lists(st.integers(1, K.n), max_size=2)))
+    return from_facets(K.n, [f - ghosts for f in K.facets])
+
+
+def eliminated_betti(cx, j):
+    """dim C^j - rank d_j - rank d_{j-1}, with every rank found by elimination."""
+    return (
+        len(cx.basis.get(j, []))
+        - rank_sparse(cx.coboundary_rows(j))
+        - rank_sparse(cx.coboundary_rows(j - 1))
+    )
+
+
+def full_table(K):
+    """(entries, betti) of the Hochster table from every one of the 2^n subsets."""
+    faces = K.face_masks()
+    entries, by_degree = {}, {}
+    for I in range(1 << K.n):
+        cx = CochainComplexQ([f for f in faces if f & ~I == 0])
+        for j in cx.degrees():
+            dim = eliminated_betti(cx, j)
+            if dim:
+                entries[(I, j)] = dim
+                degree = j + I.bit_count() + 1
+                by_degree[degree] = by_degree.get(degree, 0) + dim
+    return entries, [by_degree.get(d, 0) for d in range(max(by_degree) + 1)]
+
+
+def union_closure(K):
+    """Every union of minimal non-faces, ghost singletons included, built up member by member."""
+    unions = {0}
+    for member in brute_minimal_nonfaces(K):
+        mask = VertexSet(member).mask
+        unions |= {u | mask for u in unions}
+    return sorted(unions)
+
+
+EDGE_CASES = [
+    SimplicialComplex(0, [[]]),  # {{}} without vertices
+    from_facets(3, []),  # {{}} on three ghost vertices: every subset is a union
+    simplex(0),  # one vertex
+    from_facets(1, []),  # one ghost vertex
+    from_facets(5, [[1, 2], [2, 3]]),  # a path with ghost vertices 4 and 5
+    cycle(7),
+    simplex(4),
+]
+
+
+@pytest.mark.parametrize("K", EDGE_CASES, ids=repr)
+def test_pruned_table_edge_cases(K):
+    table = hochster_table(K)
+    assert (table.entries, table.betti) == full_table(K)
+    assert list(_unions_of_minimal_nonfaces(K)) == union_closure(K)
+
+
+def test_visited_subset_counts():
+    assert list(_unions_of_minimal_nonfaces(from_facets(4, []))) == list(range(16))
+    assert list(_unions_of_minimal_nonfaces(simplex(5))) == [0]
+    assert len(list(_unions_of_minimal_nonfaces(cross_polytope(6)))) == 64
+    assert len(list(_unions_of_minimal_nonfaces(cycle(14)))) == 16342
+
+
+@settings(max_examples=40)
+@given(nondegenerate_complexes(max_n=10))
+def test_pruned_table_matches_full_loop(K):
+    table = hochster_table(K)
+    assert (table.entries, table.betti) == full_table(K)
+
+
+@given(nondegenerate_complexes(max_n=9))
+def test_visited_subsets_are_the_unions_of_minimal_nonfaces(K):
+    assert list(_unions_of_minimal_nonfaces(K)) == union_closure(K)
+
+
+def check_rank_shortcuts(cx):
+    for j in range(-3, cx.top + 3):
+        assert cx._rank(j) == rank_sparse(cx.coboundary_rows(j)), j
+        assert cx.betti(j) == eliminated_betti(cx, j), j
+
+
+@pytest.mark.parametrize("faces", [[], [0], [0b1], [0b1, 0b100]])
+def test_rank_shortcuts_on_the_smallest_complexes(faces):
+    check_rank_shortcuts(CochainComplexQ(faces))
+
+
+@given(nondegenerate_complexes(max_n=8))
+def test_rank_shortcuts_match_elimination(K):
+    check_rank_shortcuts(CochainComplexQ(K.face_masks()))
+
+
+# ---------------------------------------------------------------------------
+# invariants of Z(K) at sizes past the cross-check
+
+
+def boundary_join(*qs):
+    K = boundary_simplex(qs[0])
+    for q in qs[1:]:
+        K = join(K, boundary_simplex(q))
+    return K
+
+
+SPHERES = (
+    [cross_polytope(k) for k in range(1, 9)]
+    + [cycle(m) for m in range(4, 13)]
+    + [boundary_join(*qs) for qs in [(2, 2, 2), (3, 4), (2, 3, 4), (1, 2, 3, 4), (1, 1, 1, 1, 2, 2)]]
+)
+
+
+@pytest.mark.parametrize("K", SPHERES, ids=lambda K: f"n{K.n}-{len(K.facets)}facets")
+def test_poincare_duality_on_spheres(K):
+    # Z(K) of a sphere K of dimension d - 1 is a closed manifold of dimension n + d
+    betti = hochster_betti(K)
+    d = max(len(f) for f in K.facets)
+    assert len(betti) == K.n + d + 1 and betti[-1] == 1
+    assert betti == betti[::-1]
+
+
+def euler_characteristic(betti):
+    return sum((-1) ** i * b for i, b in enumerate(betti))
+
+
+def test_euler_characteristic_examples():
+    for K in [cycle(9), cross_polytope(5), from_facets(3, []), SimplicialComplex(0, [[]])]:
+        expected = 1 if K.n == 0 else 0
+        assert euler_characteristic(hochster_betti(K)) == expected
+    for q in range(6):
+        assert euler_characteristic(hochster_betti(simplex(q))) == 1
+
+
+@settings(max_examples=40)
+@given(nondegenerate_complexes(max_n=12))
+def test_euler_characteristic_vanishes_unless_simplex(K):
+    # the diagonal circle acts freely on Z(K) unless the whole vertex set is a face
+    full = VertexSet(range(1, K.n + 1))
+    expected = 1 if K.is_face(full) else 0
+    assert euler_characteristic(hochster_betti(K)) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,28 @@ def test_intersection_graph_examples(c5):
     assert all(d == 2 for d in degree.values())
 
 
+@given(st.lists(st.integers(0, 4095).filter(lambda m: m.bit_count() >= 2), max_size=30))
+def test_intersection_graph_matches_all_pairs(masks):
+    minimal = {m for m in masks if not any(o != m and o & ~m == 0 for o in masks)}
+    M = NonfaceFamily(12, [VertexSet.from_mask(m) for m in minimal])
+    members = [m.mask for m in M]
+    k = len(members)
+    edges = tuple((i, j) for i in range(k) for j in range(i + 1, k) if members[i] & members[j])
+    label = list(range(k))  # relaxed along the edges until each is its component's least index
+    changed = True
+    while changed:
+        changed = False
+        for i, j in edges:
+            low = min(label[i], label[j])
+            if (label[i], label[j]) != (low, low):
+                label[i] = label[j] = low
+                changed = True
+    components = tuple(tuple(i for i in range(k) if label[i] == c) for c in sorted(set(label)))
+    graph = intersection_graph(M)
+    assert graph.edges == edges
+    assert graph.components == components
+
+
 def test_component_decomposition_examples(c4):
     parts = component_decomposition(NonfaceFamily(4, [[1, 3], [2, 4]]))
     assert [(members_as_sets(P), set(sup.vertices())) for P, sup in parts] == [
