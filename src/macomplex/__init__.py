@@ -51,10 +51,7 @@ from .loops import (
 )
 from .nonfaces import (
     NonfaceFamily,
-    NonfaceGraph,
-    component_decomposition,
     ghost_split,
-    intersection_graph,
     minimal_nonfaces,
     reconstruct,
     relabel_family,
@@ -75,7 +72,6 @@ __all__ = [
     "MacError",
     "MomentAngleCellComplex",
     "NonfaceFamily",
-    "NonfaceGraph",
     "NotApplicableError",
     "RationalTypeVerdict",
     "ResourceError",
@@ -85,7 +81,6 @@ __all__ = [
     "boundary_simplex",
     "build",
     "classify",
-    "component_decomposition",
     "cross_polytope",
     "cycle",
     "elliptic_model",
@@ -98,7 +93,6 @@ __all__ = [
     "growth_certificate",
     "hochster_betti",
     "hochster_table",
-    "intersection_graph",
     "is_face",
     "is_trivial_ring",
     "join",

@@ -324,6 +324,7 @@ def simplex(q: int) -> SimplicialComplex:
     """The full simplex with q+1 vertices."""
     if q < 0:
         raise InputError(f"simplex dimension must be >= 0, got {q}")
+    _check_vertex_count(q + 1)
     full = (1 << (q + 1)) - 1
     return SimplicialComplex(q + 1, [VertexSet.from_mask(full)])
 
@@ -335,6 +336,7 @@ def boundary_simplex(q: int) -> SimplicialComplex:
     """
     if q < 0:
         raise InputError(f"boundary simplex dimension must be >= 0, got {q}")
+    _check_vertex_count(q + 1)
     full = (1 << (q + 1)) - 1
     facets = [VertexSet.from_mask(full ^ (1 << i)) for i in range(q + 1)]
     return SimplicialComplex(q + 1, facets)

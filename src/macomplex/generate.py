@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import random
 
-from .complexes import SimplicialComplex, boundary_simplex, from_facets, join, simplex
+from .complexes import (
+    SimplicialComplex,
+    _check_vertex_count,
+    boundary_simplex,
+    from_facets,
+    join,
+    simplex,
+)
 from .errors import InputError
 
 FAMILIES = ("simplex", "boundary", "cycle", "cross_polytope", "random")
@@ -14,6 +21,7 @@ def cycle(m: int) -> SimplicialComplex:
     """The m-cycle C_m (m >= 3): facets {i, i+1} and {m, 1}."""
     if m < 3:
         raise InputError(f"a cycle needs at least 3 vertices, got {m}")
+    _check_vertex_count(m)
     facets = [[i, i + 1] for i in range(1, m)] + [[m, 1]]
     return from_facets(m, facets)
 
@@ -22,6 +30,7 @@ def cross_polytope(k: int) -> SimplicialComplex:
     """Boundary of the k-dimensional cross polytope: join of k point pairs."""
     if k < 1:
         raise InputError(f"cross polytope needs k >= 1, got {k}")
+    _check_vertex_count(2 * k)
     out = boundary_simplex(1)
     for _ in range(k - 1):
         out = join(out, boundary_simplex(1))
@@ -32,6 +41,7 @@ def random_complex(n: int, seed: int = 0) -> SimplicialComplex:
     """Seeded random complex on n vertices with every singleton forced present."""
     if n < 1:
         raise InputError(f"random complexes need n >= 1, got {n}")
+    _check_vertex_count(n)
     rng = random.Random(seed)
     count = rng.randint(1, max(2, 2 * n))
     facets = []

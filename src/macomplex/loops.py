@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .cohomology import hochster_betti, is_trivial_ring
 from .complexes import SimplicialComplex, _MembershipIndex
 from .errors import InputError, NotApplicableError
-from .nonfaces import minimal_nonfaces
+from .nonfaces import _minimal_nonface_masks
 
 
 class SphereModel(NamedTuple):
@@ -44,9 +44,6 @@ class HomotopyRankSeries(NamedTuple):
     truncation: int
     model: SphereModel
 
-    def rank(self, k: int) -> int:
-        return self.ranks[k]
-
     def partial_sums(self) -> list[int]:
         out = [0] * (self.truncation + 1)
         acc = 0
@@ -68,13 +65,9 @@ def _nonfaces_pairwise_intersect(K: SimplicialComplex) -> bool:
     """Whether every two minimal non-faces of ``K`` share a vertex.
 
     A ghost vertex v (in no facet) is the one-element non-face {v}, which
-    misses every other minimal non-face; so a ghost is allowed only when it
-    is the sole non-face, that is, alone and beside a single facet.
+    misses every other minimal non-face.
     """
-    ghosts = ((1 << K.n) - 1) & ~K.covered_vertices().mask
-    if ghosts:
-        return ghosts & (ghosts - 1) == 0 and len(K.facets) == 1
-    members = [m.mask for m in minimal_nonfaces(K)]
+    members = _minimal_nonface_masks(K)
     index = _MembershipIndex(members)
     everyone = (1 << len(members)) - 1
     return all(index.meeting(m) == everyone for m in members)

@@ -1,4 +1,4 @@
-"""Minimal non-faces: enumeration, reconstruction, and their intersection graph.
+"""Minimal non-faces: enumeration and reconstruction.
 
 A minimal non-face is a vertex set that is not a face although all of its
 proper subsets are.  Both directions of the correspondence between a
@@ -17,7 +17,6 @@ from typing import Iterable
 from .complexes import (
     SimplicialComplex,
     VertexSet,
-    _bits,
     _check_vertex_count,
     _compress_mask,
     _MembershipIndex,
@@ -76,27 +75,6 @@ class NonfaceFamily:
         return f"NonfaceFamily(n={self.n}, members={[list(m.vertices()) for m in self.members]})"
 
 
-class NonfaceGraph:
-    """Intersection graph of a non-face family with its connected components."""
-
-    __slots__ = ("members", "edges", "components")
-
-    def __init__(self, members: tuple, edges: tuple, components: tuple):
-        self.members = members
-        self.edges = edges
-        self.components = components
-
-    @property
-    def has_edges(self) -> bool:
-        return bool(self.edges)
-
-    def __repr__(self) -> str:
-        return (
-            f"NonfaceGraph(nodes={len(self.members)}, edges={list(self.edges)}, "
-            f"components={list(self.components)})"
-        )
-
-
 def _minimal_transversals(sets: list[int], universe: int) -> list[int]:
     """Minimal hitting sets of a family of bitmask sets, ascending by mask.
 
@@ -140,6 +118,16 @@ def _minimal_transversals(sets: list[int], universe: int) -> list[int]:
     return sorted(transversals)
 
 
+def _minimal_nonface_masks(K: SimplicialComplex) -> list[int]:
+    """Masks of the minimal non-faces of ``K``, ascending.
+
+    A vertex v in no facet (a ghost) gives the one-element non-face {v}:
+    it is a minimal transversal of the facet complements like any other.
+    """
+    full = (1 << K.n) - 1
+    return _minimal_transversals([full & ~f.mask for f in K.facets], full)
+
+
 def minimal_nonfaces(K: SimplicialComplex) -> NonfaceFamily:
     """All inclusion-minimal non-faces of ``K``.
 
@@ -151,9 +139,7 @@ def minimal_nonfaces(K: SimplicialComplex) -> NonfaceFamily:
     missing = full & ~covered
     if missing:
         raise GhostVertexError((missing & -missing).bit_length())
-    complements = [full & ~f.mask for f in K.facets]
-    members = _minimal_transversals(complements, full)
-    return NonfaceFamily(K.n, [VertexSet.from_mask(m) for m in members])
+    return NonfaceFamily(K.n, [VertexSet.from_mask(m) for m in _minimal_nonface_masks(K)])
 
 
 def reconstruct(M: NonfaceFamily) -> SimplicialComplex:
@@ -197,45 +183,3 @@ def ghost_split(M: NonfaceFamily) -> tuple[SimplicialComplex, int]:
     """
     nu = support(M)
     return reconstruct(relabel_family(M, nu)), M.n - len(nu)
-
-
-def intersection_graph(M: NonfaceFamily) -> NonfaceGraph:
-    """Graph on the members with an edge for each intersecting pair.
-
-    Edges come in ascending (i, j) order: the later members that meet
-    member i are read off the membership index.  Components are found by
-    merging vertex supports: each member joins every group whose support it
-    meets, and the supports of different groups stay disjoint, so there are
-    never more groups than vertices.
-    """
-    masks = [m.mask for m in M.members]
-    index = _MembershipIndex(masks)
-    edges = []
-    groups: list[tuple[int, int]] = []  # (support, bitset of member indices)
-    for i, a in enumerate(masks):
-        edges.extend((i, i + j) for j in _bits(index.meeting(a) >> (i + 1)))
-        support, held = a, 1 << i
-        apart = []
-        for group in groups:
-            if group[0] & a:
-                support |= group[0]
-                held |= group[1]
-            else:
-                apart.append(group)
-        groups = apart + [(support, held)]
-    components = sorted(tuple(j - 1 for j in _bits(held)) for _, held in groups)
-    return NonfaceGraph(M.members, tuple(edges), tuple(components))
-
-
-def component_decomposition(M: NonfaceFamily) -> list[tuple[NonfaceFamily, VertexSet]]:
-    """Connected components of the intersection graph with their supports.
-
-    The supports are pairwise disjoint and the complex of ``M`` on its
-    support is the join of the component complexes.
-    """
-    graph = intersection_graph(M)
-    out = []
-    for comp in graph.components:
-        part = NonfaceFamily(M.n, [graph.members[i] for i in comp])
-        out.append((part, support(part)))
-    return out

@@ -7,7 +7,9 @@ import sys
 import jsonschema
 import pytest
 
-from macomplex import cli, cycle, from_facets
+from macomplex import cli, complexes, cycle, from_facets
+
+families = sys.modules["macomplex.generate"]  # the package exports the function under that name
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "report.schema.json").read_text())
@@ -113,6 +115,21 @@ def test_generate_random_is_deterministic(capsys):
     _, first = run_cli(capsys, args)
     _, second = run_cli(capsys, args)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "family, size",
+    [("simplex", 63), ("boundary", 63), ("cycle", 64), ("cross_polytope", 32), ("random", 64)],
+)
+def test_generate_checks_the_vertex_count_before_building(capsys, monkeypatch, family, size):
+    def build(*args):
+        raise AssertionError("facets were built before the vertex count was checked")
+
+    for module, name in ((families, "from_facets"), (families, "join"), (complexes, "VertexSet")):
+        monkeypatch.setattr(module, name, build)
+    code, report = run_json(capsys, ["generate", "--family", family, "--size", str(size)])
+    assert code == 2
+    assert report["error"]["message"] == "vertex count 64 must be an integer in 0..63"
 
 
 def test_reports_are_byte_identical(capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,8 @@ from macomplex import (
 )
 from macomplex.cohomology import CochainComplexQ, _unions_of_minimal_nonfaces
 from macomplex.linalg import RowSpan, kernel_basis, rank_sparse, solve_columns
+from macomplex.loops import _nonfaces_pairwise_intersect
+from macomplex.nonfaces import _minimal_nonface_masks
 from oracles import (
     bounded_complex,
     brute_minimal_nonfaces,
@@ -281,11 +284,23 @@ def test_visited_subset_counts():
 def test_pruned_table_matches_full_loop(K):
     table = hochster_table(K)
     assert (table.entries, table.betti) == full_table(K)
+    faces = K.face_masks()
+    for I, _, _ in table.positive_entries():
+        filtered = CochainComplexQ([f for f in faces if f & ~I.mask == 0])
+        assert table.cochain_complex(I).basis == filtered.basis
 
 
 @given(nondegenerate_complexes(max_n=9))
 def test_visited_subsets_are_the_unions_of_minimal_nonfaces(K):
     assert list(_unions_of_minimal_nonfaces(K)) == union_closure(K)
+
+
+@given(nondegenerate_complexes(max_n=8))
+def test_ghost_vertices_are_one_element_nonfaces(K):
+    oracle = brute_minimal_nonfaces(K)
+    assert _minimal_nonface_masks(K) == sorted(VertexSet(m).mask for m in oracle)
+    meeting = all(a & b for a, b in combinations(oracle, 2))
+    assert _nonfaces_pairwise_intersect(K) == meeting
 
 
 def check_rank_shortcuts(cx):

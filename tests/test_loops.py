@@ -39,13 +39,13 @@ def test_single_even_sphere_wedge():
 
 def test_two_three_spheres():
     series = free_lie_ranks(SphereModel("wedge", (3, 3)), 8)
-    assert series.rank(2) == 2 and series.rank(4) == 1 and series.rank(6) == 2
+    assert series.ranks[2] == 2 and series.ranks[4] == 1 and series.ranks[6] == 2
 
 
 def test_mixed_wedge_recursion():
     series = free_lie_ranks(SphereModel("wedge", (3, 4)), 10)
-    assert series.rank(2) == 1 and series.rank(3) == 1
-    assert series.rank(4) == 0  # degree 4 is only reachable as a square
+    assert series.ranks[2] == 1 and series.ranks[3] == 1
+    assert series.ranks[4] == 0  # degree 4 is only reachable as a square
     expanded = expand_rank_product(series.ranks, 10)
     assert expanded == loop_space_series((3, 4), 10)
 
@@ -134,8 +134,8 @@ def test_two_equal_generators_match_necklace_counts():
     series = free_lie_ranks(SphereModel("wedge", (3, 3)), 24)
     for j in range(1, 13):
         necklaces = sum(mobius(d) * 2 ** (j // d) for d in divisors(j)) // j
-        assert series.rank(2 * j) == necklaces
-        assert series.rank(2 * j - 1) == 0
+        assert series.ranks[2 * j] == necklaces
+        assert series.ranks[2 * j - 1] == 0
 
 
 def test_wedge_model_of_c5_witness(c5):

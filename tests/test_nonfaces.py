@@ -11,12 +11,10 @@ from macomplex import (
     SimplicialComplex,
     VertexSet,
     boundary_simplex,
-    component_decomposition,
     cycle,
     from_facets,
     full_subcomplex,
     ghost_split,
-    intersection_graph,
     join,
     minimal_nonfaces,
     reconstruct,
@@ -252,82 +250,6 @@ def test_ghost_split_join_equality():
         assert relabel_complex(joined, mapping) == reconstruct(M)
 
 
-def test_intersection_graph_examples(c5):
-    g = intersection_graph(NonfaceFamily(4, [[1, 3], [2, 4]]))
-    assert not g.has_edges and len(g.components) == 2
-
-    g = intersection_graph(NonfaceFamily(3, [[1, 2], [2, 3]]))
-    assert g.edges == ((0, 1),) and g.components == ((0, 1),)
-
-    M = minimal_nonfaces(c5)
-    g = intersection_graph(M)
-    # the five pairwise intersections of the C5 non-faces again form a 5-cycle
-    assert len(g.edges) == 5
-    assert len(g.components) == 1
-    degree = {i: 0 for i in range(5)}
-    for i, j in g.edges:
-        degree[i] += 1
-        degree[j] += 1
-    assert all(d == 2 for d in degree.values())
-
-
-@given(st.lists(st.integers(0, 4095).filter(lambda m: m.bit_count() >= 2), max_size=30))
-def test_intersection_graph_matches_all_pairs(masks):
-    minimal = {m for m in masks if not any(o != m and o & ~m == 0 for o in masks)}
-    M = NonfaceFamily(12, [VertexSet.from_mask(m) for m in minimal])
-    members = [m.mask for m in M]
-    k = len(members)
-    edges = tuple((i, j) for i in range(k) for j in range(i + 1, k) if members[i] & members[j])
-    label = list(range(k))  # relaxed along the edges until each is its component's least index
-    changed = True
-    while changed:
-        changed = False
-        for i, j in edges:
-            low = min(label[i], label[j])
-            if (label[i], label[j]) != (low, low):
-                label[i] = label[j] = low
-                changed = True
-    components = tuple(tuple(i for i in range(k) if label[i] == c) for c in sorted(set(label)))
-    graph = intersection_graph(M)
-    assert graph.edges == edges
-    assert graph.components == components
-
-
-def test_component_decomposition_examples(c4):
-    parts = component_decomposition(NonfaceFamily(4, [[1, 3], [2, 4]]))
-    assert [(members_as_sets(P), set(sup.vertices())) for P, sup in parts] == [
-        ({frozenset({1, 3})}, {1, 3}),
-        ({frozenset({2, 4})}, {2, 4}),
-    ]
-    # single member reconstructs to a simplex boundary
-    M = NonfaceFamily(4, [[1, 2, 3, 4]])
-    [(part, sup)] = component_decomposition(M)
-    assert reconstruct(relabel_family(part, sup)) == boundary_simplex(3)
-    assert component_decomposition(NonfaceFamily(3, [])) == []
-
-
-def test_component_join_equality():
-    rng = random.Random(46)
-    for _ in range(60):
-        n = rng.randint(2, 8)
-        M = random_family(rng, n)
-        parts = component_decomposition(M)
-        supports = [sup for _, sup in parts]
-        for i, a in enumerate(supports):
-            for b in supports[i + 1 :]:
-                assert a.isdisjoint(b)
-        joined = None
-        order: list[int] = []
-        for part, sup in parts:
-            piece = reconstruct(relabel_family(part, sup))
-            joined = piece if joined is None else join(joined, piece)
-            order.extend(sorted(sup.vertices()))
-        nu = sorted(support(M).vertices())
-        mapping = {i + 1: nu.index(v) + 1 for i, v in enumerate(order)}
-        expected = reconstruct(relabel_family(M, support(M)))
-        assert relabel_complex(joined, mapping) == expected
-
-
 def test_disjoint_members_give_join_of_boundaries():
     # pairwise disjoint non-faces: the complex is a join of simplex boundaries
     rng = random.Random(47)
@@ -341,10 +263,8 @@ def test_disjoint_members_give_join_of_boundaries():
             members.append(sorted(pool[idx : idx + take]))
             idx += take
         M = NonfaceFamily(n, members)
-        assert not intersection_graph(M).has_edges or all(
-            not a.intersects(b)
-            for i, a in enumerate(M.members)
-            for b in M.members[i + 1 :]
+        assert not any(
+            a.intersects(b) for i, a in enumerate(M.members) for b in M.members[i + 1 :]
         )
         joined = None
         for m in sorted(members):
