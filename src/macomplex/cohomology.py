@@ -51,6 +51,7 @@ class CochainComplexQ:
         self._index: dict[int, dict[int, int]] = {}
         self._rank_cache: dict[int, int] = {}
         self._reps_cache: dict[int, list[dict[int, Fraction]]] = {}
+        self._span_cache: dict[int, linalg.RowSpan] = {}
 
     def degrees(self) -> range:
         return range(-1, self.top + 1)
@@ -104,22 +105,27 @@ class CochainComplexQ:
         """Cocycle representatives spanning degree-j cohomology.
 
         Kernel vectors of d_j are taken in their deterministic order and
-        kept whenever they enlarge the span of the coboundaries.
+        kept whenever they enlarge the span of the coboundaries.  That span,
+        with each kept vector tagged by its position in the list, is cached
+        for ``reduce_cocycle``.
         """
         if j in self._reps_cache:
             return self._reps_cache[j]
         masks = self.basis.get(j, [])
         reps: list[dict[int, Fraction]] = []
+        span = linalg.RowSpan()
         if masks:
             ncols = len(masks)
             ker = linalg.kernel_basis(
                 linalg.dense_from_sparse(self.coboundary_rows(j), ncols), ncols
             )
-            span = self._image_span(j)
+            for column in self._coboundary_columns(j):
+                span.add(column)
             for vec in ker:
-                if span.add(vec):
+                if span.add(vec, tag=len(reps)):
                     reps.append({m: x for m, x in zip(masks, vec) if x != 0})
         self._reps_cache[j] = reps
+        self._span_cache[j] = span
         return reps
 
     def _coboundary_columns(self, j: int) -> list[list[Fraction]]:
@@ -131,15 +137,12 @@ class CochainComplexQ:
                 columns[col][r] = Fraction(v)
         return columns
 
-    def _image_span(self, j: int) -> "linalg.RowSpan":
-        """Span of the coboundaries inside C^j, as j-face-indexed vectors."""
-        span = linalg.RowSpan()
-        for vec in self._coboundary_columns(j):
-            span.add(vec)
-        return span
-
     def reduce_cocycle(self, j: int, cochain: dict[int, Fraction]) -> tuple[Fraction, ...]:
-        """Coordinates of a degree-j cocycle in the representative basis."""
+        """Coordinates of a degree-j cocycle in the representative basis.
+
+        One pass against the span cached by ``representatives``, which holds
+        the coboundaries and the representatives in echelon form.
+        """
         masks = self.basis.get(j, [])
         index = self._positions(j)
         vec = [Fraction(0)] * len(masks)
@@ -152,17 +155,10 @@ class CochainComplexQ:
             if sum(v * vec[c] for c, v in row.items()) != 0:
                 raise InputError("cochain is not a cocycle")
         reps = self.representatives(j)
-        columns = self._coboundary_columns(j)
-        nprev = len(columns)
-        for rep in reps:
-            column = [Fraction(0)] * len(masks)
-            for m, v in rep.items():
-                column[index[m]] = v
-            columns.append(column)
-        solution = linalg.solve_columns(columns, vec)
-        if solution is None:
+        coords = self._span_cache[j].coordinates(vec)
+        if coords is None:
             raise InputError("cocycle does not lie in the computed cohomology")
-        return tuple(solution[nprev:])
+        return tuple(coords.get(i, Fraction(0)) for i in range(len(reps)))
 
     def validate(self) -> None:
         """Assert d_{j+1} o d_j = 0 for every degree."""

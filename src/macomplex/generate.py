@@ -12,9 +12,10 @@ from .complexes import (
     join,
     simplex,
 )
-from .errors import InputError
+from .errors import InputError, ResourceError
 
 FAMILIES = ("simplex", "boundary", "cycle", "cross_polytope", "random")
+CROSS_POLYTOPE_MAX_FACETS = 1 << 16  # k <= 16: about half a second of joins
 
 
 def cycle(m: int) -> SimplicialComplex:
@@ -31,6 +32,11 @@ def cross_polytope(k: int) -> SimplicialComplex:
     if k < 1:
         raise InputError(f"cross polytope needs k >= 1, got {k}")
     _check_vertex_count(2 * k)
+    if 1 << k > CROSS_POLYTOPE_MAX_FACETS:
+        raise ResourceError(
+            f"cross polytope needs 2^{k} = {1 << k} facets; "
+            f"limit is {CROSS_POLYTOPE_MAX_FACETS} facets"
+        )
     out = boundary_simplex(1)
     for _ in range(k - 1):
         out = join(out, boundary_simplex(1))

@@ -8,9 +8,15 @@ eliminated with the stored pivot row.  A row therefore meets only the
 pivots of the columns it actually reaches, instead of every remaining
 row being rescanned for every pivot.  Elimination stays in the integers:
 an exact quotient when the pivot divides the coefficient, otherwise
-cross-multiplication followed by gcd normalisation.  The dense routines
-over Fraction are used only on the small matrices that occur when
-cohomology representatives are needed.
+cross-multiplication followed by gcd normalisation.
+
+The dense routines over Fraction serve the cocycle layer of the ring scan.
+For each degree of a full subcomplex K_I, ``kernel_basis`` finds the
+cocycles and one ``RowSpan`` holds the coboundaries and the chosen
+representatives; every product landing in that degree is then reduced
+against the same span, in one pass.  The ring scan of the 12-cycle builds
+1,955 spans and reduces 2,049 products against 977 of them, so these
+routines carry a large share of `mac ring`'s time.
 """
 
 from __future__ import annotations
@@ -128,7 +134,12 @@ def kernel_basis(matrix, ncols) -> list[list[Fraction]]:
 
 
 def solve_columns(columns, rhs) -> list[Fraction] | None:
-    """A particular solution x of  sum_j x_j * columns[j] = rhs, or None."""
+    """A particular solution x of  sum_j x_j * columns[j] = rhs, or None.
+
+    Nothing in the package calls it any more: ``RowSpan.coordinates``
+    reduces cocycles now.  It stays as the tests' oracle for that reduction,
+    and because the benchmark's tracer wraps it by name.
+    """
     nrows = len(rhs)
     ncols = len(columns)
     aug = []
@@ -144,30 +155,54 @@ def solve_columns(columns, rhs) -> list[Fraction] | None:
 
 
 class RowSpan:
-    """Incrementally built row space over the rationals."""
+    """Incrementally built row space over the rationals.
+
+    A vector added with a ``tag`` counts as a basis vector named by the tag.
+    Every stored row records its coefficients on those tagged vectors, so
+    ``coordinates`` can express a vector of the span in the tagged basis,
+    modulo the untagged vectors.
+    """
 
     def __init__(self):
-        self.rows = []  # (pivot column, reduced vector with unit pivot)
+        self.rows = []  # (pivot column, reduced vector with unit pivot, {tag: coefficient})
 
     def _reduce(self, vec):
+        """(residual, {tag: coefficient} of the stored rows subtracted from vec)."""
         vec = [Fraction(x) for x in vec]
-        for p, row in self.rows:
+        combo = {}
+        for p, row, tags in self.rows:
             f = vec[p]
             if f != 0:
                 vec = [a - f * b for a, b in zip(vec, row)]
-        return vec
+                for key, t in tags.items():
+                    combo[key] = combo.get(key, 0) + f * t
+        return vec, combo
 
     def contains(self, vec) -> bool:
-        return not any(self._reduce(vec))
+        return not any(self._reduce(vec)[0])
 
-    def add(self, vec) -> bool:
+    def add(self, vec, tag=None) -> bool:
         """Add a vector; returns True if it enlarged the span."""
-        res = self._reduce(vec)
+        res, combo = self._reduce(vec)
         p = next((i for i, x in enumerate(res) if x != 0), None)
         if p is None:
             return False
         pv = res[p]
         res = [x / pv for x in res]
-        self.rows.append((p, res))
+        tags = {key: -x / pv for key, x in combo.items() if x}
+        if tag is not None:
+            tags[tag] = 1 / pv
+        self.rows.append((p, res, tags))
         self.rows.sort(key=lambda t: t[0])
         return True
+
+    def coordinates(self, vec) -> dict | None:
+        """{tag: coefficient} of vec on the tagged vectors, or None if vec is not in the span.
+
+        Zero coefficients are left out.  The coefficients are unique when the
+        tagged vectors are independent modulo the span of the untagged ones.
+        """
+        res, combo = self._reduce(vec)
+        if any(res):
+            return None
+        return {key: x for key, x in combo.items() if x}

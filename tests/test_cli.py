@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -132,6 +133,23 @@ def test_generate_checks_the_vertex_count_before_building(capsys, monkeypatch, f
     assert report["error"]["message"] == "vertex count 64 must be an integer in 0..63"
 
 
+@pytest.mark.parametrize("size", [17, 25, 31])
+def test_cross_polytope_checks_its_facet_count_before_building(capsys, monkeypatch, size):
+    def build(*args):
+        raise AssertionError("facets were built before the facet count was checked")
+
+    monkeypatch.setattr(families, "join", build)
+    start = time.perf_counter()
+    code, report = run_json(capsys, ["generate", "--family", "cross_polytope", "--size", str(size)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert report["error"]["type"] == "ResourceError"
+    limit = families.CROSS_POLYTOPE_MAX_FACETS
+    assert report["error"]["message"] == (
+        f"cross polytope needs 2^{size} = {1 << size} facets; limit is {limit} facets"
+    )
+
+
 def test_reports_are_byte_identical(capsys):
     for argv in (
         ["classify", "--input", C5_JSON],
@@ -141,6 +159,115 @@ def test_reports_are_byte_identical(capsys):
         _, first = run_cli(capsys, argv)
         _, second = run_cli(capsys, argv)
         assert first == second
+
+
+# stdout of `mac ring`, captured before products were reduced against the cached span
+RING_GOLDEN = {
+    "C6": (
+        '{"n":6,"facets":[[1,2],[2,3],[3,4],[4,5],[5,6],[1,6]]}',
+        """\
+{
+  "certificate": {
+    "J": [
+      1,
+      3
+    ],
+    "L": [
+      2,
+      4,
+      5,
+      6
+    ],
+    "degree": 8,
+    "kind": "nonzero_product",
+    "p": 0,
+    "q": 0
+  },
+  "trivial": false
+}
+""",
+    ),
+    "C8": (
+        '{"n":8,"facets":[[1,2],[2,3],[3,4],[4,5],[5,6],[6,7],[7,8],[1,8]]}',
+        """\
+{
+  "certificate": {
+    "J": [
+      1,
+      3
+    ],
+    "L": [
+      2,
+      4,
+      5,
+      6,
+      7,
+      8
+    ],
+    "degree": 10,
+    "kind": "nonzero_product",
+    "p": 0,
+    "q": 0
+  },
+  "trivial": false
+}
+""",
+    ),
+    "octahedron": (
+        '{"n":6,"facets":[[1,3,5],[2,3,5],[1,4,5],[2,4,5],[1,3,6],[2,3,6],[1,4,6],[2,4,6]]}',
+        """\
+{
+  "certificate": {
+    "J": [
+      1,
+      2
+    ],
+    "L": [
+      3,
+      4
+    ],
+    "degree": 6,
+    "kind": "nonzero_product",
+    "p": 0,
+    "q": 0
+  },
+  "trivial": false
+}
+""",
+    ),
+    "two_edges": (
+        '{"n":4,"facets":[[1,2],[3,4]]}',
+        """\
+{
+  "certificate": {
+    "kind": "all_products_vanish",
+    "products_checked": 45
+  },
+  "trivial": true
+}
+""",
+    ),
+    "random_7_seed_5": (  # generate.random_complex(7, seed=5)
+        '{"n":7,"facets":[[3,5,6],[1,2,6,7],[1,2,4,5,7]]}',
+        """\
+{
+  "certificate": {
+    "kind": "all_products_vanish",
+    "products_checked": 1035
+  },
+  "trivial": true
+}
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RING_GOLDEN))
+def test_ring_report_bytes_are_unchanged(capsys, name):
+    source, expected = RING_GOLDEN[name]
+    code, out = run_cli(capsys, ["ring", "--input", source])
+    assert code == 0
+    assert out == expected
 
 
 def test_ghost_vertex_exit_code(capsys):

@@ -320,6 +320,82 @@ def test_rank_shortcuts_match_elimination(K):
 
 
 # ---------------------------------------------------------------------------
+# reduce_cocycle against one dense solve over [coboundaries | representatives]
+
+
+def solved_coordinates(cx, j, cochain):
+    """Coordinates on the representatives from solve_columns, as reduce_cocycle once found them."""
+    masks = cx.basis.get(j, [])
+    index = {m: i for i, m in enumerate(masks)}
+    columns = [[Fraction(0)] * len(masks) for _ in cx.basis.get(j - 1, [])]
+    for r, row in enumerate(cx.coboundary_rows(j - 1)):  # one row per j-face
+        for c, v in row.items():
+            columns[c][r] = Fraction(v)
+    reps = cx.representatives(j)
+    for rep in reps:
+        column = [Fraction(0)] * len(masks)
+        for m, v in rep.items():
+            column[index[m]] = v
+        columns.append(column)
+    rhs = [Fraction(0)] * len(masks)
+    for m, v in cochain.items():
+        rhs[index[m]] = v
+    solution = solve_columns(columns, rhs)
+    return tuple(solution[len(columns) - len(reps):])
+
+
+def random_cocycle(rng, cx, j):
+    """(cochain, coefficients): a rational combination of the representatives plus a coboundary."""
+    coefficients = tuple(
+        Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in cx.representatives(j)
+    )
+    cochain = {}
+    for a, rep in zip(coefficients, cx.representatives(j)):
+        for m, v in rep.items():
+            cochain[m] = cochain.get(m, 0) + a * v
+    lower = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in cx.basis.get(j - 1, [])]
+    for tau, row in zip(cx.basis.get(j, []), cx.coboundary_rows(j - 1)):
+        cochain[tau] = cochain.get(tau, 0) + sum(v * lower[c] for c, v in row.items())
+    return {m: v for m, v in cochain.items() if v}, coefficients
+
+
+def check_reduction(cx, rng):
+    for j in cx.degrees():
+        for _ in range(3):
+            cochain, coefficients = random_cocycle(rng, cx, j)
+            coords = cx.reduce_cocycle(j, cochain)
+            assert coords == coefficients == solved_coordinates(cx, j, cochain)
+            assert all(type(x) is Fraction for x in coords)
+        with pytest.raises(InputError, match="supported outside the subcomplex"):
+            cx.reduce_cocycle(j, {**cochain, 1 << 50: Fraction(1)})  # vertex 51 is absent
+        upper = cx.basis.get(j + 1, [])
+        if upper:
+            tau = upper[0] & (upper[0] - 1)  # a j-face of upper[0], whose coboundary is ±1 there
+            broken = {**cochain, tau: cochain.get(tau, 0) + 1}
+            with pytest.raises(InputError, match="is not a cocycle"):
+                cx.reduce_cocycle(j, broken)
+
+
+@settings(max_examples=40)
+@given(nondegenerate_complexes(max_n=7), st.integers(0, 2**32 - 1))
+def test_reduce_cocycle_matches_dense_solve(K, seed):
+    rng = random.Random(seed)
+    check_reduction(CochainComplexQ(K.face_masks()), rng)
+    table = hochster_table(K)
+    for I, _, _ in rng.sample(table.positive_entries(), min(4, len(table.positive_entries()))):
+        check_reduction(table.cochain_complex(I), rng)
+
+
+@pytest.mark.parametrize("m", range(4, 9))
+def test_reduce_cocycle_matches_dense_solve_on_cycles(m):
+    rng = random.Random(m)
+    table = hochster_table(cycle(m))
+    entries = table.positive_entries()
+    for I, _, _ in rng.sample(entries, min(12, len(entries))):
+        check_reduction(table.cochain_complex(I), rng)
+
+
+# ---------------------------------------------------------------------------
 # invariants of Z(K) at sizes past the cross-check
 
 
@@ -452,3 +528,18 @@ def test_solve_columns_and_rowspan():
     assert span.contains([Fraction(-1), Fraction(-1)])
     assert span.add([Fraction(0), Fraction(1)])
     assert span.contains([Fraction(5), Fraction(7)])
+
+    tagged = RowSpan()
+    assert tagged.add([Fraction(1), Fraction(1), Fraction(0)])  # untagged
+    assert tagged.add([Fraction(2), Fraction(0), Fraction(1)], tag="a")
+    assert not tagged.add([Fraction(3), Fraction(1), Fraction(1)], tag="b")  # in the span already
+    assert tagged.add([Fraction(0), Fraction(0), Fraction(3)], tag="c")
+    vec = [Fraction(5), Fraction(1), Fraction(7)]  # (1,1,0) + 2·(2,0,1) + (5/3)·(0,0,3)
+    assert tagged.coordinates(vec) == {"a": 2, "c": Fraction(5, 3)}
+    assert tagged.coordinates([Fraction(1), Fraction(1), Fraction(0)]) == {}
+    assert RowSpan().coordinates([Fraction(0), Fraction(1)]) is None
+    line = RowSpan()
+    line.add([Fraction(1), Fraction(2)], tag=0)
+    assert line.coordinates([Fraction(3), Fraction(6)]) == {0: 3}
+    assert line.coordinates([Fraction(1), Fraction(1)]) is None
+
