@@ -23,7 +23,7 @@ from .complexes import SimplicialComplex, VertexSet, _submasks
 from .errors import ResourceError
 from .linalg import rank_sparse
 
-DEFAULT_CELL_LIMIT = 2_000_000
+DEFAULT_CELL_LIMIT = 3**12  # the most cells of any complex on at most 12 vertices
 
 
 class MomentAngleCellComplex:
@@ -93,7 +93,8 @@ def build(K: SimplicialComplex, cell_limit: int = DEFAULT_CELL_LIMIT) -> MomentA
     """Enumerate the cells of Z(K) and assemble the boundary matrices.
 
     The cell count sum over faces sigma of 2^(n - |sigma|) is checked
-    against ``cell_limit`` before any enumeration starts.
+    against ``cell_limit`` before any enumeration starts.  The default 3^12
+    admits every complex on at most 12 vertices; only n >= 13 can exceed it.
     """
     n = K.n
     if (1 << n) > cell_limit:  # the empty face alone contributes 2^n cells

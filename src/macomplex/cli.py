@@ -8,35 +8,30 @@ import sys
 
 from . import cells
 from .classify import classify
-from .cohomology import HOCHSTER_MAX_N, hochster_betti, hochster_table, is_trivial_ring
+from .cohomology import hochster_betti, hochster_table, is_trivial_ring
 from .complexes import SimplicialComplex, full_subcomplex
 from .errors import InputError, MacError, ResourceError
 from .generate import FAMILIES, generate
 from .loops import free_lie_ranks, growth_certificate, product_ranks, wedge_model, SphereModel
 from .nonfaces import minimal_nonfaces
 
-# Default --limit-n of each command that reads complexes.
-DEFAULT_LIMIT_N = {
-    **dict.fromkeys(("classify", "nonfaces"), 24),
-    **dict.fromkeys(("betti", "ring", "loop-ranks"), HOCHSTER_MAX_N),
-    **dict.fromkeys(("oracle-betti", "crosscheck"), 12),
-}
-
 
 def _load_complex(text: str) -> SimplicialComplex:
     source = text.strip()
-    if source == "-":
-        source = sys.stdin.read().strip()
-    elif not source.startswith("{"):
-        try:
-            with open(text) as handle:
+    try:
+        if source == "-":
+            source = sys.stdin.read().strip()
+        elif not source.startswith("{"):
+            with open(text, encoding="utf-8") as handle:
                 source = handle.read()
-        except OSError as exc:
-            raise InputError(f"cannot read input file {text!r}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read input file {text!r}: {exc}")
     try:
         data = json.loads(source)
     except json.JSONDecodeError as exc:
         raise InputError(f"input is not valid JSON: {exc}")
+    except (RecursionError, ValueError) as exc:  # nesting depth; int-string digit limit
+        raise InputError(f"input exceeds the JSON parser's limits: {exc}")
     return SimplicialComplex.from_json_dict(data)
 
 
@@ -83,8 +78,8 @@ def _report_loop_ranks(K, args):
 
 
 def _report_crosscheck(K, args):
-    hochster = hochster_betti(K)
-    oracle = cells.oracle_betti(cells.build(K, cell_limit=args.limit_cells))
+    complex = cells.build(K, cell_limit=args.limit_cells)  # refuses before any Hochster work
+    hochster, oracle = hochster_betti(K), cells.oracle_betti(complex)
     return {"hochster": hochster, "oracle": oracle, "equal": hochster == oracle}
 
 
@@ -107,7 +102,7 @@ def _error_report(exc: MacError) -> tuple[int, dict]:
 def _run_one(args: argparse.Namespace, source: str) -> tuple[int, dict]:
     try:
         K = _load_complex(source)
-        if K.n > args.limit_n:
+        if "limit_n" in args and K.n > args.limit_n:
             raise ResourceError(
                 f"n={K.n} exceeds the limit of {args.limit_n} for '{args.command}' "
                 "(raise it with --limit-n)"
@@ -194,7 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
             required=True,
             help="path to a complex JSON file, inline JSON, or - for stdin",
         )
-        cmd.add_argument("--limit-n", type=int, default=DEFAULT_LIMIT_N[name])
+        if name in ("classify", "nonfaces", "loop-ranks"):
+            cmd.add_argument(
+                "--limit-n", type=int, default=24,
+                help="largest n on which the minimal non-face enumeration runs",
+            )
         if name in ("oracle-betti", "crosscheck"):
             cmd.add_argument("--limit-cells", type=int, default=cells.DEFAULT_CELL_LIMIT)
         if name == "loop-ranks":

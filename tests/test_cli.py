@@ -289,14 +289,42 @@ def test_limit_exit_code(capsys):
         assert report["error"]["type"] == "ResourceError"
 
 
-def test_table_guard_fires_above_a_raised_limit_n(capsys):
-    # --limit-n 30 passes the CLI check; the 2^21-subset table refuses before enumerating
-    code, report = run_json(
-        capsys, ["betti", "--limit-n", "30", "--input", '{"n":21,"facets":[[1]]}']
-    )
+@pytest.mark.parametrize("command", ["betti", "ring"])
+def test_table_guard_fires_without_limit_n(capsys, command):
+    # no CLI option guards the table; the 2^21-subset table refuses before enumerating
+    code, report = run_json(capsys, [command, "--input", '{"n":21,"facets":[[1]]}'])
     assert code == 3
-    assert report["error"]["type"] == "ResourceError"
-    assert "2^21" in report["error"]["message"]
+    assert report["error"] == {
+        "type": "ResourceError",
+        "message": "table needs 2^21 subcomplexes; limit is n <= 20",
+    }
+
+
+@pytest.mark.parametrize("command", ["oracle-betti", "crosscheck"])
+def test_cell_count_guard_fires_before_any_work(capsys, monkeypatch, command):
+    def refuse(*args):
+        raise AssertionError("work started before the cell count was checked")
+
+    monkeypatch.setattr(complexes.SimplicialComplex, "face_masks", refuse)
+    monkeypatch.setattr(cli, "hochster_betti", refuse)
+    code, report = run_json(capsys, [command, "--input", '{"n":20,"facets":[[1]]}'])
+    assert code == 3
+    assert report["error"] == {
+        "type": "ResourceError",
+        "message": "at least 2^20 cells exceed the configured limit of 531441",
+    }
+
+
+def test_crosscheck_on_c13_and_loop_ranks_on_c21_run(capsys):
+    # only the stages' own checks apply: C13 has 88,064 cells, C21's witness 3 vertices
+    code, report = run_json(capsys, ["crosscheck", "--input", json.dumps(cycle(13).to_json_dict())])
+    assert code == 0
+    assert report["equal"] is True
+    assert report["hochster"][3] == 65
+    code, report = run_json(capsys, ["loop-ranks", "--input", json.dumps(cycle(21).to_json_dict())])
+    assert code == 0
+    assert report["model"] == {"kind": "wedge", "dims": [3, 3, 4]}
+    assert report["verdict"] == "exponential"
 
 
 @pytest.mark.parametrize(
@@ -307,6 +335,7 @@ def test_table_guard_fires_above_a_raised_limit_n(capsys):
         for command in (*cli.HANDLERS, "generate")
         if command not in ("oracle-betti", "crosscheck")
     ]
+    + [(command, "--limit-n") for command in ("betti", "ring", "oracle-betti", "crosscheck")]
     + [("classify", "--limit")],  # no prefix stands in for --limit-n
 )
 def test_options_exist_only_where_they_act(command, option):
@@ -342,6 +371,35 @@ def test_non_integer_input_exit_code(capsys, source):
     code, report = run_json(capsys, ["nonfaces", "--input", source])
     assert code == 2
     assert report["error"]["type"] == "InputError"
+
+
+def _non_utf8_file(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": 1, "facets": [[1]], "note": "caf\xe9"}')
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        _non_utf8_file,
+        lambda _: '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}",  # nesting depth
+        lambda _: '{"n": ' + "1" * 4301 + ', "facets": [[1]]}',  # int-string digit limit
+    ],
+    ids=["not-utf8", "deep-nesting", "long-integer"],
+)
+def test_malformed_input_is_an_input_error_in_a_batch(capsys, tmp_path, bad):
+    source = bad(tmp_path)
+    code, report = run_json(capsys, ["classify", "--input", C4_JSON, "--input", source])
+    assert code == 2
+    assert report[0]["report"] == {"kind": "elliptic", "spheres": [3, 3], "disk": 0}
+    assert report[1]["report"]["error"]["type"] == "InputError"
+
+
+def test_invalid_json_message_is_unchanged(capsys):
+    code, report = run_json(capsys, ["classify", "--input", '{"n": 4,'])
+    assert code == 2
+    assert report["error"]["message"].startswith("input is not valid JSON: ")
 
 
 def test_input_from_file_and_stdin(capsys, tmp_path, monkeypatch):
@@ -398,6 +456,36 @@ def test_text_format_batch(capsys):
     assert len(lines) == 2
     assert lines[0].endswith("elliptic: spheres [3, 3], disk 0")
     assert "hyperbolic" in lines[1]
+
+
+# each expected line is the recorded output of `mac ... --format text`
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (["nonfaces", "--input", C5_JSON], 0,
+         "n=5, minimal non-faces [[1, 3], [1, 4], [2, 4], [2, 5], [3, 5]]"),
+        (["betti", "--input", C4_JSON], 0, "betti [1, 0, 0, 2, 0, 0, 1] (4 table entries)"),
+        (["oracle-betti", "--input", C4_JSON], 0, "betti [1, 0, 0, 2, 0, 0, 1] (64 cells)"),
+        (["ring", "--input", C4_JSON], 0,
+         "non-trivial ring; certificate {'kind': 'nonzero_product', 'J': [1, 3], 'p': 0, "
+         "'L': [2, 4], 'q': 0, 'degree': 6}"),
+        (["ring", "--input", RING_GOLDEN["two_edges"][0]], 0,
+         "trivial ring; certificate {'kind': 'all_products_vanish', 'products_checked': 45}"),
+        (["loop-ranks", "--input", C4_JSON], 0, "finite; ranks [0, 2" + ", 0" * 22 + "]"),
+        (["loop-ranks", "--input", C5_JSON], 0,
+         "exponential, ratio 1.517716; ranks [0, 2, 1, 1, 2, 3, 4, 5, 8, 13, 18, 25, 40, 62, "
+         "90, 135, 210, 324, 492, 750, 1164, 1809, 2786, 4305]"),
+        (["generate", "--family", "cycle", "--size", "5"], 0,
+         "n=5, facets [[1, 2], [2, 3], [3, 4], [1, 5], [4, 5]]"),
+        (["nonfaces", "--input", GHOST_JSON], 2,
+         "error[GhostVertexError]: vertex 3 is not a face of the complex; "
+         "remove absent vertices before computing minimal non-faces"),
+    ],
+    ids=["nonfaces", "betti", "oracle-betti", "ring-nontrivial", "ring-trivial",
+         "loop-ranks-finite", "loop-ranks-exponential", "generate", "error"],
+)
+def test_text_format_of_every_command(capsys, argv, code, line):
+    assert run_cli(capsys, [*argv, "--format", "text"]) == (code, line + "\n")
 
 
 def test_console_script_installed():
