@@ -16,7 +16,6 @@ from .cohomology import (
     hochster_betti,
     hochster_table,
     is_trivial_ring,
-    reduced_cohomology,
     star_product,
     star_product_scan,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "random_complex",
     "rank_relabel",
     "reconstruct",
-    "reduced_cohomology",
     "relabel_complex",
     "relabel_family",
     "restrict_family",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .complexes import SimplicialComplex, VertexSet, _submasks
 from .errors import ResourceError
-from .linalg import rank_sparse
+from .linalg import product_is_zero, rank_sparse
 
 DEFAULT_CELL_LIMIT = 3**12  # the most cells of any complex on at most 12 vertices
 
@@ -29,10 +29,9 @@ DEFAULT_CELL_LIMIT = 3**12  # the most cells of any complex on at most 12 vertic
 class MomentAngleCellComplex:
     """Cellular chain complex of Z(K; (D^2, S^1)) over the rationals."""
 
-    __slots__ = ("complex", "cells", "boundaries")
+    __slots__ = ("cells", "boundaries")
 
-    def __init__(self, complex: SimplicialComplex, cells, boundaries):
-        self.complex = complex
+    def __init__(self, cells, boundaries):
         self.cells = cells  # per dimension: list of (sigma_mask, omega_mask)
         self.boundaries = boundaries  # per dimension: list of {row: sign} per cell
 
@@ -57,16 +56,11 @@ class MomentAngleCellComplex:
 
     def validate(self) -> None:
         """Assert the boundary squares to zero."""
+        b = self.boundaries
         for d in range(2, self.top_dimension + 1):
-            lower = self.boundaries[d - 1]
-            for row in self.boundaries[d]:
-                acc: dict[int, int] = {}
-                for mid, v in row.items():
-                    for c, w in lower[mid].items():
-                        acc[c] = acc.get(c, 0) + v * w
-                assert all(x == 0 for x in acc.values()), f"d o d != 0 in dimension {d}"
+            assert product_is_zero(b[d], b[d - 1]), f"d o d != 0 in dimension {d}"
 
-    def to_json_dict(self, include_boundary: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         cells = [
             {
                 "sigma": list(VertexSet.from_mask(s).vertices()),
@@ -75,18 +69,15 @@ class MomentAngleCellComplex:
             for dim_cells in self.cells
             for s, w in dim_cells
         ]
-        out: dict = {"cells": cells}
-        if include_boundary:
-            boundary = []
-            for d in range(1, self.top_dimension + 1):
-                entries = [
-                    [row_idx, col_idx, sign]
-                    for col_idx, row in enumerate(self.boundaries[d])
-                    for row_idx, sign in sorted(row.items())
-                ]
-                boundary.append({"dim": d, "entries": entries})
-            out["boundary"] = boundary
-        return out
+        boundary = []
+        for d in range(1, self.top_dimension + 1):
+            entries = [
+                [row_idx, col_idx, sign]
+                for col_idx, row in enumerate(self.boundaries[d])
+                for row_idx, sign in sorted(row.items())
+            ]
+            boundary.append({"dim": d, "entries": entries})
+        return {"cells": cells, "boundary": boundary}
 
 
 def build(K: SimplicialComplex, cell_limit: int = DEFAULT_CELL_LIMIT) -> MomentAngleCellComplex:
@@ -129,7 +120,7 @@ def build(K: SimplicialComplex, cell_limit: int = DEFAULT_CELL_LIMIT) -> MomentA
                 sign = -1 if (omega & (low - 1)).bit_count() % 2 else 1
                 row[lower[(sigma ^ low, omega | low)]] = sign
             boundaries[d].append(row)
-    return MomentAngleCellComplex(K, cells, boundaries)
+    return MomentAngleCellComplex(cells, boundaries)
 
 
 def oracle_betti(C: MomentAngleCellComplex) -> list[int]:

@@ -51,7 +51,7 @@ def _report_oracle(K, args):
     complex = cells.build(K, cell_limit=args.limit_cells)
     report = {"betti": cells.oracle_betti(complex), "cells": complex.cell_count}
     if args.dump_cells:
-        report["chain"] = complex.to_json_dict(include_boundary=True)
+        report["chain"] = complex.to_json_dict()
     return report
 
 

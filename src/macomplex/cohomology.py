@@ -30,7 +30,6 @@ from .errors import InputError, ResourceError
 from .nonfaces import _minimal_nonface_masks
 
 HOCHSTER_MAX_N = 20
-COCHAIN_MAX_N = 24
 
 
 class CochainComplexQ:
@@ -50,8 +49,7 @@ class CochainComplexQ:
         self.top = max(self.basis)
         self._index: dict[int, dict[int, int]] = {}
         self._rank_cache: dict[int, int] = {}
-        self._reps_cache: dict[int, list[dict[int, Fraction]]] = {}
-        self._span_cache: dict[int, linalg.RowSpan] = {}
+        self._cohomology: dict[int, tuple[list[dict[int, Fraction]], linalg.RowSpan]] = {}
 
     def degrees(self) -> range:
         return range(-1, self.top + 1)
@@ -107,10 +105,10 @@ class CochainComplexQ:
         Kernel vectors of d_j are taken in their deterministic order and
         kept whenever they enlarge the span of the coboundaries.  That span,
         with each kept vector tagged by its position in the list, is cached
-        for ``reduce_cocycle``.
+        beside them for ``reduce_cocycle``.
         """
-        if j in self._reps_cache:
-            return self._reps_cache[j]
+        if j in self._cohomology:
+            return self._cohomology[j][0]
         masks = self.basis.get(j, [])
         reps: list[dict[int, Fraction]] = []
         span = linalg.RowSpan()
@@ -124,8 +122,7 @@ class CochainComplexQ:
             for vec in ker:
                 if span.add(vec, tag=len(reps)):
                     reps.append({m: x for m, x in zip(masks, vec) if x != 0})
-        self._reps_cache[j] = reps
-        self._span_cache[j] = span
+        self._cohomology[j] = (reps, span)
         return reps
 
     def _coboundary_columns(self, j: int) -> list[list[Fraction]]:
@@ -155,22 +152,16 @@ class CochainComplexQ:
             if sum(v * vec[c] for c, v in row.items()) != 0:
                 raise InputError("cochain is not a cocycle")
         reps = self.representatives(j)
-        coords = self._span_cache[j].coordinates(vec)
+        coords = self._cohomology[j][1].coordinates(vec)
         if coords is None:
             raise InputError("cocycle does not lie in the computed cohomology")
         return tuple(coords.get(i, Fraction(0)) for i in range(len(reps)))
 
     def validate(self) -> None:
-        """Assert d_{j+1} o d_j = 0 for every degree."""
+        """Assert d_j o d_{j-1} = 0 for every degree."""
+        d = self.coboundary_rows
         for j in self.degrees():
-            lower = self.coboundary_rows(j - 1)  # one row per j-face
-            upper = self.coboundary_rows(j)  # columns indexed by j-faces
-            for row in upper:
-                acc: dict[int, int] = {}
-                for mid, v in row.items():
-                    for c, w in lower[mid].items():
-                        acc[c] = acc.get(c, 0) + v * w
-                assert all(x == 0 for x in acc.values()), f"d o d != 0 in degree {j - 1}"
+            assert linalg.product_is_zero(d(j), d(j - 1)), f"d o d != 0 in degree {j - 1}"
 
 
 class CohomologyClass:
@@ -259,26 +250,6 @@ class HochsterTable:
             for (mask, j), dim in sorted(self.entries.items())
         ]
         return {"entries": entries, "betti": list(self.betti)}
-
-
-def reduced_cohomology(K: SimplicialComplex):
-    """Reduced rational cohomology of ``K`` with representative cocycles.
-
-    Returns a list of (degree, dimension, representatives); degree -1 is
-    one-dimensional exactly for the empty complex {{}}.
-    """
-    if K.n > COCHAIN_MAX_N:
-        raise ResourceError(f"cochain complex enumeration capped at n <= {COCHAIN_MAX_N}")
-    cx = CochainComplexQ(K.face_masks())
-    out = []
-    for j in cx.degrees():
-        dim = cx.betti(j)
-        reps = [
-            {VertexSet.from_mask(m): v for m, v in rep.items()}
-            for rep in cx.representatives(j)
-        ]
-        out.append((j, dim, reps))
-    return out
 
 
 def _unions_of_minimal_nonfaces(K: SimplicialComplex) -> Iterator[int]:

@@ -61,12 +61,10 @@ def random_complex(n: int, seed: int = 0) -> SimplicialComplex:
     return from_facets(n, facets)
 
 
-def generate(family: str, size: int | None = None, seed: int = 0) -> SimplicialComplex:
+def generate(family: str, size: int, seed: int = 0) -> SimplicialComplex:
     """Dispatch on the family name; ``size`` is q, q, m, k or n respectively."""
     if family not in FAMILIES:
         raise InputError(f"unknown family {family!r}; choose one of {', '.join(FAMILIES)}")
-    if size is None:
-        raise InputError(f"family {family!r} needs a size parameter")
     if family == "simplex":
         return simplex(size)
     if family == "boundary":

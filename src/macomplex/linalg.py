@@ -70,6 +70,18 @@ def rank_sparse(rows) -> int:
     return len(pivots)
 
 
+def product_is_zero(left, right) -> bool:
+    """Whether left * right = 0, for sparse matrices given as {col: coeff} rows."""
+    for row in left:
+        acc: dict[int, int] = {}
+        for mid, v in row.items():
+            for c, w in right[mid].items():
+                acc[c] = acc.get(c, 0) + v * w
+        if any(acc.values()):
+            return False
+    return True
+
+
 def dense_from_sparse(rows, ncols) -> list[list[Fraction]]:
     out = []
     for row in rows:

@@ -23,6 +23,8 @@ from .complexes import SimplicialComplex, _MembershipIndex
 from .errors import InputError, NotApplicableError
 from .nonfaces import _minimal_nonface_masks
 
+GROWTH_DELTA = 0.05  # a growth ratio is reported only above 1 + GROWTH_DELTA
+
 
 class SphereModel(NamedTuple):
     """A product or wedge of spheres, recorded by the multiset of dimensions."""
@@ -166,14 +168,15 @@ def product_ranks(model: SphereModel, N: int = 24) -> HomotopyRankSeries:
     return HomotopyRankSeries(ranks=tuple(ranks), truncation=N, model=model)
 
 
-def growth_certificate(series: HomotopyRankSeries, delta: float = 0.05) -> GrowthCertificate:
+def growth_certificate(series: HomotopyRankSeries) -> GrowthCertificate:
     """Finite versus exponential growth of the total rational homotopy.
 
     The split is structural: a product, or a wedge on at most one sphere,
     has finitely many classes; a wedge on two or more spheres is a free
     graded Lie algebra on >= 2 generators and grows exponentially.  The
     ratio estimate (S_N / S_{N/2})^(2/N) over cumulative ranks is reported
-    when it exceeds 1 + delta.
+    when it exceeds 1 + GROWTH_DELTA.  It is taken through logarithms,
+    because the quotient can leave float range where its root does not.
     """
     N = series.truncation
     if N < 12:
@@ -184,10 +187,7 @@ def growth_certificate(series: HomotopyRankSeries, delta: float = 0.05) -> Growt
     half = sums[N // 2]
     ratio = None
     if half > 0:
-        try:
-            estimate = (sums[N] / half) ** (2.0 / N)
-        except OverflowError:  # the quotient leaves float range; its N/2-th root need not
-            estimate = exp((log(sums[N]) - log(half)) * 2.0 / N)
-        if estimate > 1.0 + delta:
+        estimate = exp((log(sums[N]) - log(half)) * 2.0 / N)
+        if estimate > 1.0 + GROWTH_DELTA:
             ratio = round(estimate, 6)
     return GrowthCertificate(kind="exponential", ratio=ratio)

@@ -57,6 +57,19 @@ def test_boundary_squares_to_zero():
         build(K).validate()
 
 
+def test_validate_catches_a_flipped_sign(c4):
+    # d o d has a non-zero term only on a cell whose sigma has two vertices,
+    # so dimension 4 is the first where a flipped sign can show
+    C = build(c4)
+    C.validate()
+    i = next(i for i, (sigma, _) in enumerate(C.cells[4]) if sigma.bit_count() == 2)
+    row = C.boundaries[4][i]
+    first = min(row)
+    row[first] = -row[first]
+    with pytest.raises(AssertionError, match="d o d != 0 in dimension"):
+        C.validate()
+
+
 def test_oracle_betti_examples(c4):
     assert oracle_betti(build(c4)) == [1, 0, 0, 2, 0, 0, 1]
     for k in range(0, 5):
@@ -128,7 +141,7 @@ def test_cell_limit_guard():
 
 
 def test_chain_dump_shape(c4):
-    data = build(c4).to_json_dict(include_boundary=True)
+    data = build(c4).to_json_dict()
     assert len(data["cells"]) == sum(1 << (4 - len(f)) for f in c4.faces())
     dims = [entry["dim"] for entry in data["boundary"]]
     assert dims == sorted(dims)

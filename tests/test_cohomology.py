@@ -21,18 +21,18 @@ from macomplex import (
     join,
     random_complex,
     reconstruct,
-    reduced_cohomology,
     simplex,
     star_product,
     star_product_scan,
 )
 from macomplex.cohomology import CochainComplexQ, _unions_of_minimal_nonfaces
-from macomplex.linalg import RowSpan, kernel_basis, rank_sparse, solve_columns
+from macomplex.linalg import RowSpan, kernel_basis, product_is_zero, rank_sparse, solve_columns
 from macomplex.loops import _nonfaces_pairwise_intersect
 from macomplex.nonfaces import _minimal_nonface_masks
 from oracles import (
     bounded_complex,
     brute_minimal_nonfaces,
+    convolve,
     flag_complex,
     random_family,
     random_pairwise_intersecting_family,
@@ -40,7 +40,8 @@ from oracles import (
 
 
 def dims_by_degree(K):
-    return {j: dim for j, dim, _ in reduced_cohomology(K)}
+    cx = CochainComplexQ(K.face_masks())
+    return {j: cx.betti(j) for j in cx.degrees()}
 
 
 def test_reduced_cohomology_circle():
@@ -68,8 +69,10 @@ def test_representative_counts_match_dimensions():
     rng = random.Random(89)
     for i in range(15):
         K = random_complex(rng.randint(1, 6), seed=8700 + i)
-        for j, dim, reps in reduced_cohomology(K):
-            assert len(reps) == dim
+        cx = CochainComplexQ(K.face_masks())
+        for j in cx.degrees():
+            reps = cx.representatives(j)
+            assert len(reps) == cx.betti(j)
             for rep in reps:
                 assert any(v != 0 for v in rep.values())
 
@@ -90,6 +93,15 @@ def test_cochain_complex_d_squared_zero():
     for i in range(25):
         K = random_complex(rng.randint(1, 7), seed=3300 + i)
         CochainComplexQ(K.face_masks()).validate()
+
+
+def test_product_is_zero_detects_a_nonzero_product():
+    # d o d of the boundary of an edge, and the same with one sign flipped
+    d1 = [{0: -1, 1: 1}]  # the edge {1,2} -> {2} - {1}
+    d0 = [{0: 1}, {0: 1}]  # each vertex -> the empty face
+    assert product_is_zero(d1, d0)
+    assert not product_is_zero([{0: 1, 1: 1}], d0)
+    assert not product_is_zero([{2: 3}], [{}, {}, {5: 1}])
 
 
 def test_star_product_c4_top_class(c4):
@@ -420,6 +432,28 @@ def test_poincare_duality_on_spheres(K):
     d = max(len(f) for f in K.facets)
     assert len(betti) == K.n + d + 1 and betti[-1] == 1
     assert betti == betti[::-1]
+
+
+def test_join_law_past_the_cross_check():
+    # Z(K1 * K2) = Z(K1) x Z(K2), so by Kuenneth the Betti numbers of a join
+    # are the convolution of the factors'; here at n = 10..16
+    rng = random.Random(505)
+    pairs = [
+        (cycle(5), cycle(5)),
+        (flag_complex(rng, 6, 0.5), cycle(5)),
+        (bounded_complex(rng, 6, 3), cross_polytope(2)),
+        (cycle(6), cross_polytope(3)),
+        (flag_complex(rng, 7, 0.5), bounded_complex(rng, 6, 3)),
+        (flag_complex(rng, 8, 0.4), flag_complex(rng, 6, 0.6)),
+        (flag_complex(rng, 7, 0.5), cross_polytope(4)),
+        (cycle(6), cross_polytope(4)),
+        (cross_polytope(4), cross_polytope(4)),
+    ]
+    for K1, K2 in pairs:
+        b1, b2 = hochster_betti(K1), hochster_betti(K2)
+        assert len(b1) > 1 and len(b2) > 1, "a factor is a full simplex"
+        assert 10 <= K1.n + K2.n <= 16
+        assert hochster_betti(join(K1, K2)) == convolve(b1, b2), (K1, K2)
 
 
 def euler_characteristic(betti):

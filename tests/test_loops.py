@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -123,6 +124,15 @@ def test_growth_ratio_past_float_range():
     short = HomotopyRankSeries(ranks[:201], 200, series.model)
     sums = short.partial_sums()
     assert growth_certificate(short).ratio == round((sums[200] / sums[100]) ** (2.0 / 200), 6)
+    # and so on wedges of 2-4 spheres of dimension 3-6
+    for k in (2, 3, 4):
+        for dims in combinations_with_replacement(range(3, 7), k):
+            for N in (12, 24, 100, 200):
+                series = free_lie_ranks(SphereModel("wedge", dims), N)
+                sums = series.partial_sums()
+                quotient = (sums[N] / sums[N // 2]) ** (2.0 / N)
+                expected = round(quotient, 6) if quotient > 1.05 else None
+                assert growth_certificate(series).ratio == expected, (dims, N)
 
 
 def test_two_equal_generators_match_necklace_counts():
