@@ -15,8 +15,8 @@ zero.  The table therefore visits only the unions of minimal non-faces,
 counting a vertex in no facet as the non-face {v}; the empty set, the
 empty union, carries the unit.
 
-All linear algebra is exact: integer matrices for ranks, Fractions where
-representative cocycles are required.
+All linear algebra is exact: integer echelons for ranks and cocycles,
+Fractions for the entries of representative cocycles.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class CochainComplexQ:
         self.top = max(self.basis)
         self._index: dict[int, dict[int, int]] = {}
         self._rank_cache: dict[int, int] = {}
-        self._cohomology: dict[int, tuple[list[dict[int, Fraction]], linalg.RowSpan]] = {}
+        self._cohomology: dict[int, tuple[list[dict[int, Fraction]], list[int], dict]] = {}
 
     def degrees(self) -> range:
         return range(-1, self.top + 1)
@@ -102,60 +102,69 @@ class CochainComplexQ:
     def representatives(self, j: int) -> list[dict[int, Fraction]]:
         """Cocycle representatives spanning degree-j cohomology.
 
-        Kernel vectors of d_j are taken in their deterministic order and
-        kept whenever they enlarge the span of the coboundaries.  That span,
-        with each kept vector tagged by its position in the list, is cached
-        beside them for ``reduce_cocycle``.
+        The echelon of d_j leaves free columns F; the kernel basis has one
+        vector per free column f (1 at f, 0 at the other free columns), so a
+        cocycle's coordinates are its entries on F.  The coboundaries, read
+        on F, go through a second echelon keyed by their largest column; the
+        free columns it leaves are kept, exactly the kernel vectors that
+        enlarge the span of the coboundaries and of the vectors before them.
+        Each kept column gives a representative by back-substitution.
         """
         if j in self._cohomology:
             return self._cohomology[j][0]
         masks = self.basis.get(j, [])
+        cocycle_pivots = linalg.echelon(self.coboundary_rows(j)[::-1])
+        free = [c for c in range(len(masks)) if c not in cocycle_pivots]
+        # column -f stands for free column f, so the echelon keys each row by its largest
+        columns: dict[int, dict[int, int]] = {}
+        lower = self.coboundary_rows(j - 1)  # one row per j-face
+        for f in free:
+            for col, v in lower[f].items():
+                columns.setdefault(col, {})[-f] = v
+        image = linalg.echelon(columns.values())
+        kept = [f for f in free if -f not in image]
         reps: list[dict[int, Fraction]] = []
-        span = linalg.RowSpan()
-        if masks:
-            ncols = len(masks)
-            ker = linalg.kernel_basis(
-                linalg.dense_from_sparse(self.coboundary_rows(j), ncols), ncols
-            )
-            for column in self._coboundary_columns(j):
-                span.add(column)
-            for vec in ker:
-                if span.add(vec, tag=len(reps)):
-                    reps.append({m: x for m, x in zip(masks, vec) if x != 0})
-        self._cohomology[j] = (reps, span)
+        descending = sorted(cocycle_pivots, reverse=True)
+        for k in kept:
+            x = {k: Fraction(1)}
+            for p in descending:
+                if p < k:  # a pivot row's other columns lie above its pivot
+                    row = cocycle_pivots[p]
+                    total = sum(v * x[c] for c, v in row.items() if c in x)
+                    if total:
+                        x[p] = -total / row[p]
+            reps.append({masks[c]: x[c] for c in sorted(x)})
+        self._cohomology[j] = (reps, kept, image)
         return reps
-
-    def _coboundary_columns(self, j: int) -> list[list[Fraction]]:
-        """Columns of d_{j-1}: the coboundary of each (j-1)-face, dense over the j-faces."""
-        ncols = len(self.basis.get(j, []))
-        columns = [[Fraction(0)] * ncols for _ in self.basis.get(j - 1, [])]
-        for r, row in enumerate(self.coboundary_rows(j - 1)):  # one row per j-face
-            for col, v in row.items():
-                columns[col][r] = Fraction(v)
-        return columns
 
     def reduce_cocycle(self, j: int, cochain: dict[int, Fraction]) -> tuple[Fraction, ...]:
         """Coordinates of a degree-j cocycle in the representative basis.
 
-        One pass against the span cached by ``representatives``, which holds
-        the coboundaries and the representatives in echelon form.
+        One pass against the cached coboundary echelon, from the largest free
+        column down, leaves the cocycle's values on the kept columns.  Every
+        cocycle lies in the kernel, which its entries on F coordinatise, so
+        every cocycle reduces.
         """
-        masks = self.basis.get(j, [])
         index = self._positions(j)
-        vec = [Fraction(0)] * len(masks)
+        vec = {}
         for m, v in cochain.items():
             if m not in index:
                 raise InputError("cochain supported outside the subcomplex")
             vec[index[m]] = Fraction(v)
-        # must be a cocycle
         for row in self.coboundary_rows(j):
-            if sum(v * vec[c] for c, v in row.items()) != 0:
+            if sum(v * vec.get(c, 0) for c, v in row.items()) != 0:
                 raise InputError("cochain is not a cocycle")
-        reps = self.representatives(j)
-        coords = self._cohomology[j][1].coordinates(vec)
-        if coords is None:
-            raise InputError("cocycle does not lie in the computed cohomology")
-        return tuple(coords.get(i, Fraction(0)) for i in range(len(reps)))
+        self.representatives(j)
+        _, kept, image = self._cohomology[j]
+        residual = {-c: v for c, v in vec.items()}  # entries off F are never read
+        for key in sorted(image):
+            v = residual.get(key)
+            if v:
+                row = image[key]
+                q = v / row[key]
+                for c, w in row.items():
+                    residual[c] = residual.get(c, 0) - q * w
+        return tuple(residual.get(-k, Fraction(0)) for k in kept)
 
     def validate(self) -> None:
         """Assert d_j o d_{j-1} = 0 for every degree."""

@@ -1,22 +1,21 @@
 """Exact linear algebra over the integers and rationals.
 
-Ranks are computed by incremental, fraction-free row reduction.  Each
-input row is reduced against a table of pivot rows indexed by their
-smallest column: while the row is non-empty, its smallest column either
-has no pivot yet, and the row becomes that column's pivot, or it is
-eliminated with the stored pivot row.  A row therefore meets only the
-pivots of the columns it actually reaches, instead of every remaining
-row being rescanned for every pivot.  Elimination stays in the integers:
-an exact quotient when the pivot divides the coefficient, otherwise
-cross-multiplication followed by gcd normalisation.
+One routine, ``echelon``, does all the package's elimination.  Each input
+row is reduced against a table of pivot rows indexed by their smallest
+column: while the row is non-empty, its smallest column either has no
+pivot yet, and the row becomes that column's pivot, or it is eliminated
+with the stored pivot row.  A row therefore meets only the pivots of the
+columns it actually reaches, instead of every remaining row being
+rescanned for every pivot.  Elimination stays in the integers (Bareiss,
+Math. Comp. 22, 1968): an exact quotient when the pivot divides the
+coefficient, otherwise cross-multiplication followed by gcd normalisation.
+``rank_sparse`` counts the pivots; the cocycle layer of the ring scan
+reads kernels, images and representatives off the pivot tables.
 
-The dense routines over Fraction serve the cocycle layer of the ring scan.
-For each degree of a full subcomplex K_I, ``kernel_basis`` finds the
-cocycles and one ``RowSpan`` holds the coboundaries and the chosen
-representatives; every product landing in that degree is then reduced
-against the same span, in one pass.  The ring scan of the 12-cycle builds
-1,955 spans and reduces 2,049 products against 977 of them, so these
-routines carry a large share of `mac ring`'s time.
+The dense routines over Fraction (``rref``, ``kernel_basis``,
+``solve_columns`` and ``RowSpan``) have no caller in the package.  They
+stay as the tests' reference for the cocycle layer, and because the
+benchmark's tracer wraps them by name.
 """
 
 from __future__ import annotations
@@ -25,16 +24,17 @@ from fractions import Fraction
 from math import gcd
 
 
-def rank_sparse(rows) -> int:
-    """Rank of an integer matrix given as sparse rows ({col: coeff} dicts).
+def echelon(rows) -> dict[int, dict[int, int]]:
+    """Integer echelon form of sparse rows ({col: coeff} dicts): {pivot column: row}.
 
     The pivot of a reduced row is its smallest column.  Every other column
     of a stored pivot row is larger, so eliminating the smallest column of
     a row only adds columns above it: a row is finished after at most one
-    step per column, and the stored pivot rows stay in echelon form, so
-    their number is the rank.  The rank does not depend on the order of
-    the rows; the order only decides which rows become pivots.  Empty rows
-    and zero entries are skipped, and the input is not modified.
+    step per column, and the stored pivot rows stay in echelon form.  The
+    set of pivot columns does not depend on the order of the rows (column c
+    is a pivot exactly when it is not a combination of the columns below
+    it); the order only decides which rows become pivots.  Empty rows and
+    zero entries are skipped, and the input is not modified.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -67,7 +67,12 @@ def rank_sparse(rows) -> int:
                 if g > 1:
                     for c in row:
                         row[c] //= g
-    return len(pivots)
+    return pivots
+
+
+def rank_sparse(rows) -> int:
+    """Rank of an integer matrix given as sparse rows: the pivots of its echelon."""
+    return len(echelon(rows))
 
 
 def product_is_zero(left, right) -> bool:
@@ -80,16 +85,6 @@ def product_is_zero(left, right) -> bool:
         if any(acc.values()):
             return False
     return True
-
-
-def dense_from_sparse(rows, ncols) -> list[list[Fraction]]:
-    out = []
-    for row in rows:
-        dense = [Fraction(0)] * ncols
-        for c, v in row.items():
-            dense[c] = Fraction(v)
-        out.append(dense)
-    return out
 
 
 def rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
@@ -148,9 +143,8 @@ def kernel_basis(matrix, ncols) -> list[list[Fraction]]:
 def solve_columns(columns, rhs) -> list[Fraction] | None:
     """A particular solution x of  sum_j x_j * columns[j] = rhs, or None.
 
-    Nothing in the package calls it any more: ``RowSpan.coordinates``
-    reduces cocycles now.  It stays as the tests' oracle for that reduction,
-    and because the benchmark's tracer wraps it by name.
+    The tests' oracle for ``CochainComplexQ.reduce_cocycle``; nothing in
+    the package calls it.
     """
     nrows = len(rhs)
     ncols = len(columns)
@@ -167,54 +161,29 @@ def solve_columns(columns, rhs) -> list[Fraction] | None:
 
 
 class RowSpan:
-    """Incrementally built row space over the rationals.
-
-    A vector added with a ``tag`` counts as a basis vector named by the tag.
-    Every stored row records its coefficients on those tagged vectors, so
-    ``coordinates`` can express a vector of the span in the tagged basis,
-    modulo the untagged vectors.
-    """
+    """Incrementally built row space over the rationals."""
 
     def __init__(self):
-        self.rows = []  # (pivot column, reduced vector with unit pivot, {tag: coefficient})
+        self.rows = []  # (pivot column, reduced vector with unit pivot)
 
     def _reduce(self, vec):
-        """(residual, {tag: coefficient} of the stored rows subtracted from vec)."""
         vec = [Fraction(x) for x in vec]
-        combo = {}
-        for p, row, tags in self.rows:
+        for p, row in self.rows:
             f = vec[p]
             if f != 0:
                 vec = [a - f * b for a, b in zip(vec, row)]
-                for key, t in tags.items():
-                    combo[key] = combo.get(key, 0) + f * t
-        return vec, combo
+        return vec
 
     def contains(self, vec) -> bool:
-        return not any(self._reduce(vec)[0])
+        return not any(self._reduce(vec))
 
-    def add(self, vec, tag=None) -> bool:
+    def add(self, vec) -> bool:
         """Add a vector; returns True if it enlarged the span."""
-        res, combo = self._reduce(vec)
+        res = self._reduce(vec)
         p = next((i for i, x in enumerate(res) if x != 0), None)
         if p is None:
             return False
         pv = res[p]
-        res = [x / pv for x in res]
-        tags = {key: -x / pv for key, x in combo.items() if x}
-        if tag is not None:
-            tags[tag] = 1 / pv
-        self.rows.append((p, res, tags))
+        self.rows.append((p, [x / pv for x in res]))
         self.rows.sort(key=lambda t: t[0])
         return True
-
-    def coordinates(self, vec) -> dict | None:
-        """{tag: coefficient} of vec on the tagged vectors, or None if vec is not in the span.
-
-        Zero coefficients are left out.  The coefficients are unique when the
-        tagged vectors are independent modulo the span of the untagged ones.
-        """
-        res, combo = self._reduce(vec)
-        if any(res):
-            return None
-        return {key: x for key, x in combo.items() if x}

@@ -9,6 +9,7 @@ test compares two genuinely different routes to the same answer.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from macomplex import NonfaceFamily, SimplicialComplex, VertexSet
@@ -65,6 +66,21 @@ def brute_reconstruct_facets(members, n: int) -> set[frozenset]:
 
 def facet_sets(K: SimplicialComplex) -> set[frozenset]:
     return {frozenset(f.vertices()) for f in K.facets}
+
+
+# ---------------------------------------------------------------------------
+# dense matrices
+
+
+def dense_rows(rows, ncols: int) -> list[list[Fraction]]:
+    """Sparse {col: coeff} rows as dense Fraction rows of length ``ncols``."""
+    out = []
+    for row in rows:
+        dense = [Fraction(0)] * ncols
+        for c, v in row.items():
+            dense[c] = Fraction(v)
+        out.append(dense)
+    return out
 
 
 # ---------------------------------------------------------------------------

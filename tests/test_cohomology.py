@@ -26,13 +26,21 @@ from macomplex import (
     star_product_scan,
 )
 from macomplex.cohomology import CochainComplexQ, _unions_of_minimal_nonfaces
-from macomplex.linalg import RowSpan, kernel_basis, product_is_zero, rank_sparse, solve_columns
+from macomplex.linalg import (
+    RowSpan,
+    echelon,
+    kernel_basis,
+    product_is_zero,
+    rank_sparse,
+    solve_columns,
+)
 from macomplex.loops import _nonfaces_pairwise_intersect
 from macomplex.nonfaces import _minimal_nonface_masks
 from oracles import (
     bounded_complex,
     brute_minimal_nonfaces,
     convolve,
+    dense_rows,
     flag_complex,
     random_family,
     random_pairwise_intersecting_family,
@@ -408,6 +416,49 @@ def test_reduce_cocycle_matches_dense_solve_on_cycles(m):
 
 
 # ---------------------------------------------------------------------------
+# representatives against the dense kernel basis and row span
+
+
+def dense_representatives(cx, j):
+    """Representatives as the dense layer chose them: each kernel vector of
+    d_j, in column order, that enlarges the span of the coboundaries."""
+    masks = cx.basis.get(j, [])
+    if not masks:
+        return []
+    kernel = kernel_basis(dense_rows(cx.coboundary_rows(j), len(masks)), len(masks))
+    span = RowSpan()
+    lower = dense_rows(cx.coboundary_rows(j - 1), len(cx.basis.get(j - 1, [])))
+    for column in zip(*lower):  # the coboundary of each (j-1)-face
+        span.add(column)
+    return [{m: x for m, x in zip(masks, vec) if x} for vec in kernel if span.add(vec)]
+
+
+def check_representatives(cx):
+    for j in range(-2, cx.top + 2):
+        reps = cx.representatives(j)
+        assert reps == dense_representatives(cx, j), j
+        assert len(reps) == cx.betti(j), j
+
+
+@settings(max_examples=40)
+@given(nondegenerate_complexes(max_n=7), st.integers(0, 2**32 - 1))
+def test_representatives_match_dense_reference(K, seed):
+    rng = random.Random(seed)
+    check_representatives(CochainComplexQ(K.face_masks()))
+    table = hochster_table(K)
+    entries = table.positive_entries()
+    for I, _, _ in rng.sample(entries, min(4, len(entries))):
+        check_representatives(table.cochain_complex(I))
+
+
+@pytest.mark.parametrize("m", range(4, 9))
+def test_representatives_match_dense_reference_on_cycles(m):
+    table = hochster_table(cycle(m))
+    for I, _, _ in table.positive_entries():
+        check_representatives(table.cochain_complex(I))
+
+
+# ---------------------------------------------------------------------------
 # invariants of Z(K) at sizes past the cross-check
 
 
@@ -533,6 +584,15 @@ def test_rank_sparse_hypothesis_against_sympy(matrix):
     assert rank_sparse(reversed(rows)) == rank
     assert rank_sparse([{c: row.get(c, 0) for c in cols} for row in rows]) == rank  # explicit zeros
 
+    pivots = echelon(rows)
+    assert rows == before
+    assert len(pivots) == rank
+    assert all(col == min(row) for col, row in pivots.items())
+    assert set(echelon(reversed(rows))) == set(pivots) == set(echelon(sorted(rows, key=len)))
+    stored = [[row.get(c, 0) for c in cols] for row in pivots.values()]
+    both = sympy.Matrix(stored + [[row.get(c, 0) for c in cols] for row in rows])
+    assert both.rank() == rank  # the stored rows span the row space
+
 
 def test_kernel_basis_annihilates():
     rng = random.Random(95)
@@ -562,18 +622,3 @@ def test_solve_columns_and_rowspan():
     assert span.contains([Fraction(-1), Fraction(-1)])
     assert span.add([Fraction(0), Fraction(1)])
     assert span.contains([Fraction(5), Fraction(7)])
-
-    tagged = RowSpan()
-    assert tagged.add([Fraction(1), Fraction(1), Fraction(0)])  # untagged
-    assert tagged.add([Fraction(2), Fraction(0), Fraction(1)], tag="a")
-    assert not tagged.add([Fraction(3), Fraction(1), Fraction(1)], tag="b")  # in the span already
-    assert tagged.add([Fraction(0), Fraction(0), Fraction(3)], tag="c")
-    vec = [Fraction(5), Fraction(1), Fraction(7)]  # (1,1,0) + 2·(2,0,1) + (5/3)·(0,0,3)
-    assert tagged.coordinates(vec) == {"a": 2, "c": Fraction(5, 3)}
-    assert tagged.coordinates([Fraction(1), Fraction(1), Fraction(0)]) == {}
-    assert RowSpan().coordinates([Fraction(0), Fraction(1)]) is None
-    line = RowSpan()
-    line.add([Fraction(1), Fraction(2)], tag=0)
-    assert line.coordinates([Fraction(3), Fraction(6)]) == {0: 3}
-    assert line.coordinates([Fraction(1), Fraction(1)]) is None
-
