@@ -15,8 +15,10 @@ zero.  The table therefore visits only the unions of minimal non-faces,
 counting a vertex in no facet as the non-face {v}; the empty set, the
 empty union, carries the unit.
 
-All linear algebra is exact: integer echelons for ranks and cocycles,
-Fractions for the entries of representative cocycles.
+Each visited K_I is the restriction of K's cochain complex to I; columns
+are face masks, so each face's boundary row is built once for every K_I.
+All linear algebra is exact: a spanning forest for d_0, integer echelons
+for the other ranks and for cocycles, Fractions for representatives.
 """
 
 from __future__ import annotations
@@ -37,61 +39,94 @@ class CochainComplexQ:
 
     Faces are global-label bitmasks; the empty face sits in degree -1 and a
     face of cardinality c in degree c - 1.  Bases are sorted by bitmask, so
-    every matrix, kernel vector and representative is deterministic.
+    every matrix, kernel vector and representative is deterministic.  Matrix
+    columns are face masks, not positions, so a face's signed boundary row
+    is the same in every complex holding it; ``restrict`` shares the row
+    cache.  Mask order is position order, so echelons pick the same pivots.
     """
 
     def __init__(self, face_masks):
         faces = set(face_masks)
         faces.add(0)
-        self.basis: dict[int, list[int]] = {}
+        basis: dict[int, list[int]] = {}
         for m in sorted(faces):
-            self.basis.setdefault(m.bit_count() - 1, []).append(m)
-        self.top = max(self.basis)
-        self._index: dict[int, dict[int, int]] = {}
+            basis.setdefault(m.bit_count() - 1, []).append(m)
+        self._setup(basis, {})
+
+    def _setup(self, basis: dict[int, list[int]], rows: dict[int, dict[int, int]]) -> None:
+        self.basis = basis
+        self.top = max(basis)
+        self._rows = rows  # face mask -> its boundary row, shared by restrictions
         self._rank_cache: dict[int, int] = {}
         self._cohomology: dict[int, tuple[list[dict[int, Fraction]], list[int], dict]] = {}
+
+    def restrict(self, I: int) -> "CochainComplexQ":
+        """The full subcomplex on vertex mask ``I``, sharing this complex's row cache."""
+        basis = {}
+        for j, masks in self.basis.items():
+            inside = [m for m in masks if not m & ~I]
+            if not inside:  # degrees ascend; a larger face inside I would have j-faces inside I
+                break
+            basis[j] = inside
+        sub = object.__new__(CochainComplexQ)
+        sub._setup(basis, self._rows)
+        return sub
 
     def degrees(self) -> range:
         return range(-1, self.top + 1)
 
-    def _positions(self, j: int) -> dict[int, int]:
-        """Position of each degree-j face in its basis, built on first use."""
-        if j not in self._index:
-            self._index[j] = {m: i for i, m in enumerate(self.basis.get(j, []))}
-        return self._index[j]
+    def _row(self, tau: int) -> dict[int, int]:
+        """Signed boundary faces of ``tau``, {face mask: +-1}, built on first use."""
+        row = self._rows.get(tau)
+        if row is None:
+            row = self._rows[tau] = {
+                tau ^ (1 << (v - 1)): 1 if pos % 2 == 0 else -1
+                for pos, v in enumerate(_bits(tau))
+            }
+        return row
 
     def coboundary_rows(self, j: int) -> list[dict[int, int]]:
-        """Matrix of d_j : C^j -> C^{j+1} as sparse rows over the C^j basis."""
-        rows = []
-        index_j = self._positions(j)
-        for tau in self.basis.get(j + 1, []):
-            row = {}
-            pos = 0
-            for v in _bits(tau):
-                sigma = tau ^ (1 << (v - 1))
-                col = index_j[sigma]
-                row[col] = 1 if pos % 2 == 0 else -1
-                pos += 1
-            rows.append(row)
-        return rows
+        """Matrix of d_j : C^j -> C^{j+1}, one row per (j+1)-face, columns keyed by j-face mask."""
+        return [self._row(tau) for tau in self.basis.get(j + 1, [])]
 
     def _rank(self, j: int) -> int:
-        """Rank of d_j, by elimination only where both of its spaces can be non-zero.
+        """Rank of d_j, by elimination only for 1 <= j < top.
 
         C^j is zero below degree -1 and C^{j+1} is zero from degree ``top``
         on.  d_{-1} sends the empty face to the sum of the vertices, so it
         has rank 1 whenever j = -1 < top, that is, whenever there is a vertex.
-        The rows go to elimination in descending face order, which makes far
-        less fill-in than ascending order (tenfold less time on the cross
-        polytope of dimension 8).
+        d_0 is the incidence matrix of the 1-skeleton, whose rank is its
+        vertex count minus its component count: the edges of a spanning
+        forest.  Higher degrees go to elimination in descending face order,
+        which makes far less fill-in than ascending order (tenfold less time
+        on the cross polytope of dimension 8).
         """
         if j < -1 or j >= self.top:
             return 0
         if j == -1:
             return 1
         if j not in self._rank_cache:
-            self._rank_cache[j] = linalg.rank_sparse(self.coboundary_rows(j)[::-1])
+            self._rank_cache[j] = (
+                self._spanning_forest_edges() if j == 0
+                else linalg.rank_sparse(self.coboundary_rows(j)[::-1])
+            )
         return self._rank_cache[j]
+
+    def _spanning_forest_edges(self) -> int:
+        """Edges of a spanning forest of the 1-skeleton, by union-find over the vertices."""
+        root = {v: v for v in self.basis[0]}
+        count = 0
+        for edge in self.basis[1]:
+            a = edge & -edge
+            b = edge ^ a
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            if a != b:
+                root[a] = b
+                count += 1
+        return count
 
     def betti(self, j: int) -> int:
         dim_j = len(self.basis.get(j, []))
@@ -112,14 +147,12 @@ class CochainComplexQ:
         """
         if j in self._cohomology:
             return self._cohomology[j][0]
-        masks = self.basis.get(j, [])
         cocycle_pivots = linalg.echelon(self.coboundary_rows(j)[::-1])
-        free = [c for c in range(len(masks)) if c not in cocycle_pivots]
+        free = [m for m in self.basis.get(j, []) if m not in cocycle_pivots]
         # column -f stands for free column f, so the echelon keys each row by its largest
         columns: dict[int, dict[int, int]] = {}
-        lower = self.coboundary_rows(j - 1)  # one row per j-face
         for f in free:
-            for col, v in lower[f].items():
+            for col, v in self._row(f).items():  # f's entries in the columns of d_{j-1}
                 columns.setdefault(col, {})[-f] = v
         image = linalg.echelon(columns.values())
         kept = [f for f in free if -f not in image]
@@ -133,7 +166,7 @@ class CochainComplexQ:
                     total = sum(v * x[c] for c, v in row.items() if c in x)
                     if total:
                         x[p] = -total / row[p]
-            reps.append({masks[c]: x[c] for c in sorted(x)})
+            reps.append({c: x[c] for c in sorted(x)})
         self._cohomology[j] = (reps, kept, image)
         return reps
 
@@ -145,18 +178,14 @@ class CochainComplexQ:
         cocycle lies in the kernel, which its entries on F coordinatise, so
         every cocycle reduces.
         """
-        index = self._positions(j)
-        vec = {}
-        for m, v in cochain.items():
-            if m not in index:
-                raise InputError("cochain supported outside the subcomplex")
-            vec[index[m]] = Fraction(v)
+        if not cochain.keys() <= set(self.basis.get(j, [])):
+            raise InputError("cochain supported outside the subcomplex")
         for row in self.coboundary_rows(j):
-            if sum(v * vec.get(c, 0) for c, v in row.items()) != 0:
+            if sum(v * cochain.get(c, 0) for c, v in row.items()) != 0:
                 raise InputError("cochain is not a cocycle")
         self.representatives(j)
         _, kept, image = self._cohomology[j]
-        residual = {-c: v for c, v in vec.items()}  # entries off F are never read
+        residual = {-c: Fraction(v) for c, v in cochain.items()}  # entries off F are never read
         for key in sorted(image):
             v = residual.get(key)
             if v:
@@ -170,7 +199,8 @@ class CochainComplexQ:
         """Assert d_j o d_{j-1} = 0 for every degree."""
         d = self.coboundary_rows
         for j in self.degrees():
-            assert linalg.product_is_zero(d(j), d(j - 1)), f"d o d != 0 in degree {j - 1}"
+            lower = dict(zip(self.basis.get(j, []), d(j - 1)))  # d_{j-1}, one row per j-face mask
+            assert linalg.product_is_zero(d(j), lower), f"d o d != 0 in degree {j - 1}"
 
 
 class CohomologyClass:
@@ -200,30 +230,19 @@ class CohomologyClass:
         )
 
 
-def _full_subcomplex(facets: list[int], I: int) -> CochainComplexQ:
-    """Cochain complex of K_I: the facet masks cut to I, with all their submasks."""
-    faces: set[int] = set()
-    for top in {f & I for f in facets}:
-        sub = top
-        while sub:  # inline: a submask generator per cut facet costs a fifth more on cycles
-            faces.add(sub)
-            sub = (sub - 1) & top
-    return CochainComplexQ(faces)
-
-
 class HochsterTable:
     """Additive decomposition of H^*(Z(K); Q) indexed by (I, degree)."""
 
-    def __init__(self, facets: list[int], entries: dict, betti: list[int]):
+    def __init__(self, whole: CochainComplexQ, entries: dict, betti: list[int]):
         self.entries = entries
         self.betti = betti
-        self._facets = facets
+        self._whole = whole
         self._cochains: dict[int, CochainComplexQ] = {}
 
     def cochain_complex(self, I: VertexSet) -> CochainComplexQ:
         mask = I.mask
         if mask not in self._cochains:
-            self._cochains[mask] = _full_subcomplex(self._facets, mask)
+            self._cochains[mask] = self._whole.restrict(mask)
         return self._cochains[mask]
 
     def dimension(self, I: VertexSet, j: int) -> int:
@@ -310,13 +329,14 @@ def hochster_table(K: SimplicialComplex) -> HochsterTable:
     """
     if K.n > HOCHSTER_MAX_N:
         raise ResourceError(
-            f"table needs 2^{K.n} subcomplexes; limit is n <= {HOCHSTER_MAX_N}"
+            "table finds the unions of minimal non-faces on truth tables of "
+            f"2^{K.n} bits; limit is n <= {HOCHSTER_MAX_N}"
         )
-    facets = [f.mask for f in K.facets]
+    whole = CochainComplexQ(K.face_masks())
     entries: dict[tuple[int, int], int] = {}
     betti_acc: dict[int, int] = {}
     for I in _unions_of_minimal_nonfaces(K):
-        cx = _full_subcomplex(facets, I)
+        cx = whole.restrict(I)
         size = I.bit_count()
         for j in cx.degrees():
             dim = cx.betti(j)
@@ -326,7 +346,7 @@ def hochster_table(K: SimplicialComplex) -> HochsterTable:
                 betti_acc[deg] = betti_acc.get(deg, 0) + dim
     top = max(betti_acc)
     betti = [betti_acc.get(d, 0) for d in range(top + 1)]
-    return HochsterTable(facets, entries, betti)
+    return HochsterTable(whole, entries, betti)
 
 
 def hochster_betti(K: SimplicialComplex) -> list[int]:

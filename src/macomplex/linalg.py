@@ -76,7 +76,8 @@ def rank_sparse(rows) -> int:
 
 
 def product_is_zero(left, right) -> bool:
-    """Whether left * right = 0, for sparse matrices given as {col: coeff} rows."""
+    """Whether left * right = 0 for sparse {col: coeff} rows; ``right[c]`` is the row of
+    column c of ``left``, so a list for position columns, a dict for face-mask columns."""
     for row in left:
         acc: dict[int, int] = {}
         for mid, v in row.items():

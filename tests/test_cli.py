@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -270,6 +271,24 @@ def test_ring_report_bytes_are_unchanged(capsys, name):
     assert out == expected
 
 
+# sha256 of stdout on `mac generate` inputs, captured while each K_I was still
+# rebuilt from the cut facets and its columns were basis positions
+REPORT_DIGESTS = [
+    ("betti", "cycle", 13, "d663ad5917f2b119e64089fad660f817f870dbd8082f1a57e49a539d189b589f"),
+    ("ring", "cycle", 12, "5fe88a415f28653eac1aefba6f3613053dd7c9740b549adb2f1ed66addf36218"),
+    ("ring", "cross_polytope", 5, "d52d7b0d7caf6f7644364717abaa5111f37a6ae2f691270811d22da6c639625b"),
+    ("loop-ranks", "cycle", 11, "5b8750d6d8c9b5f3965b07d75a052c2db99a998ee751497bf37d8d71633585c5"),
+]
+
+
+@pytest.mark.parametrize("command, family, size, digest", REPORT_DIGESTS)
+def test_report_digests_are_unchanged(capsys, command, family, size, digest):
+    _, generated = run_cli(capsys, ["generate", "--family", family, "--size", str(size)])
+    code, out = run_cli(capsys, [command, "--input", generated])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_ghost_vertex_exit_code(capsys):
     code, report = run_json(
         capsys, ["nonfaces", "--input", GHOST_JSON]
@@ -291,12 +310,13 @@ def test_limit_exit_code(capsys):
 
 @pytest.mark.parametrize("command", ["betti", "ring"])
 def test_table_guard_fires_without_limit_n(capsys, command):
-    # no CLI option guards the table; the 2^21-subset table refuses before enumerating
+    # no CLI option guards the table; it refuses n = 21 before building the 2^21-bit truth tables
     code, report = run_json(capsys, [command, "--input", '{"n":21,"facets":[[1]]}'])
     assert code == 3
     assert report["error"] == {
         "type": "ResourceError",
-        "message": "table needs 2^21 subcomplexes; limit is n <= 20",
+        "message": "table finds the unions of minimal non-faces on truth tables of "
+        "2^21 bits; limit is n <= 20",
     }
 
 

@@ -110,6 +110,10 @@ def test_product_is_zero_detects_a_nonzero_product():
     assert product_is_zero(d1, d0)
     assert not product_is_zero([{0: 1, 1: 1}], d0)
     assert not product_is_zero([{2: 3}], [{}, {}, {5: 1}])
+    # the same edge with the lower matrix keyed by face mask, as CochainComplexQ passes it
+    d0_by_mask = {0b01: {0: 1}, 0b10: {0: 1}}
+    assert product_is_zero([{0b01: -1, 0b10: 1}], d0_by_mask)
+    assert not product_is_zero([{0b01: 1, 0b10: 1}], d0_by_mask)
 
 
 def test_star_product_c4_top_class(c4):
@@ -290,6 +294,8 @@ def test_pruned_table_edge_cases(K):
     table = hochster_table(K)
     assert (table.entries, table.betti) == full_table(K)
     assert list(_unions_of_minimal_nonfaces(K)) == union_closure(K)
+    for I in _unions_of_minimal_nonfaces(K):
+        check_rank_shortcuts(table.cochain_complex(VertexSet.from_mask(I)))
 
 
 def test_visited_subset_counts():
@@ -334,13 +340,53 @@ def test_rank_shortcuts_on_the_smallest_complexes(faces):
     check_rank_shortcuts(CochainComplexQ(faces))
 
 
-@given(nondegenerate_complexes(max_n=8))
-def test_rank_shortcuts_match_elimination(K):
+@given(nondegenerate_complexes(max_n=8), st.integers(0, 2**32 - 1))
+def test_rank_shortcuts_match_elimination(K, seed):
     check_rank_shortcuts(CochainComplexQ(K.face_masks()))
+    table = hochster_table(K)
+    visited = list(_unions_of_minimal_nonfaces(K))
+    for I in random.Random(seed).sample(visited, min(6, len(visited))):
+        check_rank_shortcuts(table.cochain_complex(VertexSet.from_mask(I)))
+
+
+def test_spanning_forest_counts_only_the_vertices_of_the_subcomplex():
+    # the path 1-2-3 with ghost vertices 4 and 5: d_0 has rank 3 - 1, not 5 - 1
+    path = CochainComplexQ(from_facets(5, [[1, 2], [2, 3]]).face_masks())
+    assert path._rank(0) == 2
+    assert path.restrict(0b11101)._rank(0) == 0  # vertices 1 and 3, no edge
+    assert path.restrict(0b00110)._rank(0) == 1  # the edge {2, 3}
+    assert CochainComplexQ(cycle(6).face_masks())._rank(0) == 5
+
+
+@settings(max_examples=60)
+@given(nondegenerate_complexes(max_n=8), st.data())
+def test_restriction_is_the_full_subcomplex(K, data):
+    faces = K.face_masks()
+    whole = CochainComplexQ(faces)
+    I = data.draw(st.integers(0, (1 << K.n) - 1), label="I")
+    J = I & data.draw(st.integers(0, (1 << K.n) - 1), label="J within I")
+    outer = whole.restrict(I)
+    inner = outer.restrict(J)
+    fresh = CochainComplexQ([f for f in faces if f & ~J == 0])
+    assert inner.basis == whole.restrict(J).basis == fresh.basis
+    assert inner.top == fresh.top
+    for j in range(-2, fresh.top + 2):
+        assert inner.coboundary_rows(j) == fresh.coboundary_rows(j), j
+    # every restriction reads and fills the whole complex's row cache, not a copy
+    assert outer._rows is whole._rows and inner._rows is whole._rows
+    for j in range(-1, inner.top):
+        for tau, row in zip(inner.basis[j + 1], inner.coboundary_rows(j)):
+            assert whole._rows[tau] is row
 
 
 # ---------------------------------------------------------------------------
 # reduce_cocycle against one dense solve over [coboundaries | representatives]
+
+
+def positional_rows(cx, j):
+    """Rows of d_j with each face-mask column replaced by its position in ``cx.basis[j]``."""
+    index = {m: i for i, m in enumerate(cx.basis.get(j, []))}
+    return [{index[c]: v for c, v in row.items()} for row in cx.coboundary_rows(j)]
 
 
 def solved_coordinates(cx, j, cochain):
@@ -348,7 +394,7 @@ def solved_coordinates(cx, j, cochain):
     masks = cx.basis.get(j, [])
     index = {m: i for i, m in enumerate(masks)}
     columns = [[Fraction(0)] * len(masks) for _ in cx.basis.get(j - 1, [])]
-    for r, row in enumerate(cx.coboundary_rows(j - 1)):  # one row per j-face
+    for r, row in enumerate(positional_rows(cx, j - 1)):  # one row per j-face
         for c, v in row.items():
             columns[c][r] = Fraction(v)
     reps = cx.representatives(j)
@@ -374,7 +420,7 @@ def random_cocycle(rng, cx, j):
         for m, v in rep.items():
             cochain[m] = cochain.get(m, 0) + a * v
     lower = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in cx.basis.get(j - 1, [])]
-    for tau, row in zip(cx.basis.get(j, []), cx.coboundary_rows(j - 1)):
+    for tau, row in zip(cx.basis.get(j, []), positional_rows(cx, j - 1)):
         cochain[tau] = cochain.get(tau, 0) + sum(v * lower[c] for c, v in row.items())
     return {m: v for m, v in cochain.items() if v}, coefficients
 
@@ -425,9 +471,9 @@ def dense_representatives(cx, j):
     masks = cx.basis.get(j, [])
     if not masks:
         return []
-    kernel = kernel_basis(dense_rows(cx.coboundary_rows(j), len(masks)), len(masks))
+    kernel = kernel_basis(dense_rows(positional_rows(cx, j), len(masks)), len(masks))
     span = RowSpan()
-    lower = dense_rows(cx.coboundary_rows(j - 1), len(cx.basis.get(j - 1, [])))
+    lower = dense_rows(positional_rows(cx, j - 1), len(cx.basis.get(j - 1, [])))
     for column in zip(*lower):  # the coboundary of each (j-1)-face
         span.add(column)
     return [{m: x for m, x in zip(masks, vec) if x} for vec in kernel if span.add(vec)]
