@@ -11,7 +11,6 @@ from .cells import MomentAngleCellComplex, build, oracle_betti
 from .classify import RationalTypeVerdict, classify, elliptic_model, find_witness
 from .cohomology import (
     CochainComplexQ,
-    CohomologyClass,
     HochsterTable,
     hochster_betti,
     hochster_table,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CochainComplexQ",
-    "CohomologyClass",
     "GhostVertexError",
     "GrowthCertificate",
     "HochsterTable",

@@ -5,8 +5,10 @@ additively over vertex subsets I: the reduced degree-j cohomology of the
 full subcomplex K_I contributes in total degree j + |I| + 1.  (This
 placement is forced by Z(boundary of a k-simplex) being the sphere
 S^{2k+1}: the single class has I of size k+1 and j = k-1.)  The product
-pairs classes with disjoint supports through a cross cochain on the union
-subcomplex and vanishes whenever the supports meet.
+vanishes whenever the supports meet.  For disjoint vertex masks J and L it
+is induced by K_{J|L} -> K_J * K_L: ``star_product`` takes two
+representative cocycles, {face mask: value}, builds their cross cochain on
+K_{J|L} with a Koszul sign, and returns its coordinates there.
 
 Most subsets contribute nothing (the cone lemma).  If a vertex v of I lies
 in no minimal non-face contained in I, every face of K_I stays a face when
@@ -27,7 +29,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import linalg
-from .complexes import SimplicialComplex, VertexSet, _bits
+from .complexes import SimplicialComplex, _bits
 from .errors import InputError, ResourceError
 from .nonfaces import _minimal_nonface_masks
 
@@ -203,35 +205,8 @@ class CochainComplexQ:
             assert linalg.product_is_zero(d(j), lower), f"d o d != 0 in degree {j - 1}"
 
 
-class CohomologyClass:
-    """A cohomology class of some K_I, carried by a representative cocycle."""
-
-    __slots__ = ("subset", "degree", "cochain", "coords", "table")
-
-    def __init__(self, subset, degree, cochain, coords, table):
-        self.subset = subset
-        self.degree = degree
-        self.cochain = cochain
-        self.coords = coords
-        self.table = table
-
-    @property
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coords)
-
-    @property
-    def total_degree(self) -> int:
-        return self.degree + len(self.subset) + 1
-
-    def __repr__(self) -> str:
-        return (
-            f"CohomologyClass(I={list(self.subset.vertices())}, j={self.degree}, "
-            f"coords={[str(c) for c in self.coords]})"
-        )
-
-
 class HochsterTable:
-    """Additive decomposition of H^*(Z(K); Q) indexed by (I, degree)."""
+    """Additive decomposition of H^*(Z(K); Q) indexed by (I mask, degree)."""
 
     def __init__(self, whole: CochainComplexQ, entries: dict, betti: list[int]):
         self.entries = entries
@@ -239,43 +214,20 @@ class HochsterTable:
         self._whole = whole
         self._cochains: dict[int, CochainComplexQ] = {}
 
-    def cochain_complex(self, I: VertexSet) -> CochainComplexQ:
-        mask = I.mask
-        if mask not in self._cochains:
-            self._cochains[mask] = self._whole.restrict(mask)
-        return self._cochains[mask]
+    def cochain_complex(self, I: int) -> CochainComplexQ:
+        """The cochain complex of K_I for the vertex mask ``I``, restricted once and kept."""
+        if I not in self._cochains:
+            self._cochains[I] = self._whole.restrict(I)
+        return self._cochains[I]
 
-    def dimension(self, I: VertexSet, j: int) -> int:
-        return self.entries.get((I.mask, j), 0)
-
-    def classes(self, I: VertexSet, j: int) -> list[CohomologyClass]:
-        cx = self.cochain_complex(I)
-        reps = cx.representatives(j)
-        k = len(reps)
-        out = []
-        for i, rep in enumerate(reps):
-            coords = tuple(Fraction(1 if t == i else 0) for t in range(k))
-            out.append(CohomologyClass(I, j, rep, coords, self))
-        return out
-
-    def unit(self) -> CohomologyClass:
-        """The ring unit: the empty-subset summand in total degree 0."""
-        return CohomologyClass(
-            VertexSet(), -1, {0: Fraction(1)}, (Fraction(1),), self
-        )
-
-    def positive_entries(self) -> list[tuple[VertexSet, int, int]]:
-        """Entries of positive total degree, i.e. all with nonempty I."""
-        out = []
-        for (mask, j), dim in sorted(self.entries.items()):
-            if mask:
-                out.append((VertexSet.from_mask(mask), j, dim))
-        return out
+    def positive_entries(self) -> list[tuple[int, int, int]]:
+        """(I mask, j, dim) of positive total degree, i.e. all with nonempty I."""
+        return [(I, j, dim) for (I, j), dim in sorted(self.entries.items()) if I]
 
     def to_json_dict(self) -> dict:
         entries = [
-            {"I": list(VertexSet.from_mask(mask).vertices()), "j": j, "dim": dim}
-            for (mask, j), dim in sorted(self.entries.items())
+            {"I": list(_bits(I)), "j": j, "dim": dim}
+            for (I, j), dim in sorted(self.entries.items())
         ]
         return {"entries": entries, "betti": list(self.betti)}
 
@@ -370,46 +322,42 @@ def _shuffle_sign(tau: int, part_j: int) -> int:
 
 
 def star_product(
-    alpha: CohomologyClass, beta: CohomologyClass, table: HochsterTable
-) -> CohomologyClass:
-    """Product of two classes in the decomposition of H^*(Z(K)).
+    table: HochsterTable,
+    J: int,
+    p: int,
+    alpha: dict[int, Fraction],
+    L: int,
+    q: int,
+    beta: dict[int, Fraction],
+) -> tuple[Fraction, ...]:
+    """Product of alpha in H~^p(K_J) and beta in H~^q(K_L), for disjoint J and L.
 
-    Zero whenever the supports intersect.  Otherwise the representative of
-    the result is the cross cochain (alpha x beta)(sigma) =
-    +-alpha(sigma cap J) * beta(sigma cap L) on the union subcomplex, with
-    the shuffle sign of the interleaving and a fixed (-1)^((p+1)q) degree
-    shift; the class is then expressed in the chosen representative basis.
+    ``alpha`` and ``beta`` are cocycles, {face mask: value}.  The product is
+    the cross cochain (alpha x beta)(tau) = +-alpha(tau & J) * beta(tau & L)
+    on K_{J|L}, in degree p + q + 1, returned as its coordinates on that
+    complex's representatives.  The sign at tau is the shuffle sign of its
+    J-part into its L-part, times the shuffle sign eps(J, L) of J into J | L
+    and (-1)^((p+1)(q+|L|+1)), the Koszul sign of alpha's suspension
+    coordinate passing beta.  With it the product is graded commutative and
+    associative in the Z(K) degrees j + |I| + 1.  Classes whose supports
+    meet multiply to zero; that rule belongs to the caller, and such
+    supports raise ``InputError``.
     """
-    if alpha.table is not table or beta.table is not table:
-        raise InputError("classes do not belong to the supplied table")
-    J = alpha.subset.mask
-    L = beta.subset.mask
-    p = alpha.degree
-    q = beta.degree
-    union = VertexSet.from_mask(J | L)
-    r = p + q + 1
     if J & L:
-        dim = table.dimension(union, r)
-        return CohomologyClass(union, r, {}, (Fraction(0),) * dim, table)
-    cx = table.cochain_complex(union)
-    global_sign = -1 if ((p + 1) * q) % 2 else 1
+        raise InputError("supports meet; the product of such classes is zero")
+    r = p + q + 1
+    cx = table.cochain_complex(J | L)
+    sign = _shuffle_sign(J | L, J) * (-1 if (p + 1) * (q + L.bit_count() + 1) % 2 else 1)
     cochain: dict[int, Fraction] = {}
     for tau in cx.basis.get(r, []):
         sj = tau & J
         if sj.bit_count() != p + 1:
             continue
-        sl = tau & L
-        a = alpha.cochain.get(sj, Fraction(0))
-        if a == 0:
-            continue
-        b = beta.cochain.get(sl, Fraction(0))
-        if b == 0:
-            continue
-        value = global_sign * _shuffle_sign(tau, sj) * a * b
-        if value != 0:
-            cochain[tau] = value
-    coords = cx.reduce_cocycle(r, cochain)
-    return CohomologyClass(union, r, cochain, coords, table)
+        a = alpha.get(sj)
+        b = beta.get(tau & L)
+        if a and b:
+            cochain[tau] = sign * _shuffle_sign(tau, sj) * a * b
+    return cx.reduce_cocycle(r, cochain)
 
 
 def star_product_scan(table: HochsterTable):
@@ -421,23 +369,22 @@ def star_product_scan(table: HochsterTable):
     """
     positive = table.positive_entries()
     count = 0
-    for ai, (I1, j1, dim1) in enumerate(positive):
-        for I2, j2, dim2 in positive[ai:]:
-            if I1.mask & I2.mask:
+    for ai, (J, p, dim1) in enumerate(positive):
+        for L, q, dim2 in positive[ai:]:
+            if J & L:
                 count += dim1 * dim2
                 continue
-            for alpha in table.classes(I1, j1):
-                for beta in table.classes(I2, j2):
+            for alpha in table.cochain_complex(J).representatives(p):
+                for beta in table.cochain_complex(L).representatives(q):
                     count += 1
-                    product = star_product(alpha, beta, table)
-                    if not product.is_zero:
+                    if any(star_product(table, J, p, alpha, L, q, beta)):
                         certificate = {
                             "kind": "nonzero_product",
-                            "J": list(I1.vertices()),
-                            "p": j1,
-                            "L": list(I2.vertices()),
-                            "q": j2,
-                            "degree": product.total_degree,
+                            "J": list(_bits(J)),
+                            "p": p,
+                            "L": list(_bits(L)),
+                            "q": q,
+                            "degree": p + q + (J | L).bit_count() + 2,
                         }
                         return certificate, count
     return None, count
@@ -453,7 +400,7 @@ def is_trivial_ring(K: SimplicialComplex) -> tuple[bool, dict]:
     table = hochster_table(K)
     positive = table.positive_entries()
     has_disjoint = any(
-        a[0].mask & b[0].mask == 0
+        a[0] & b[0] == 0
         for i, a in enumerate(positive)
         for b in positive[i:]
     )

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from macomplex import (
@@ -118,44 +118,30 @@ def test_product_is_zero_detects_a_nonzero_product():
 
 def test_star_product_c4_top_class(c4):
     table = hochster_table(c4)
-    J = VertexSet([1, 3])
-    L = VertexSet([2, 4])
-    [alpha] = table.classes(J, 0)
-    [beta] = table.classes(L, 0)
-    product = star_product(alpha, beta, table)
-    assert not product.is_zero
-    assert product.subset == VertexSet([1, 2, 3, 4])
-    assert product.degree == 1
-    assert product.total_degree == 6
+    J, L = 0b0101, 0b1010  # {1, 3} and {2, 4}
+    [alpha] = table.cochain_complex(J).representatives(0)
+    [beta] = table.cochain_complex(L).representatives(0)
+    product = star_product(table, J, 0, alpha, L, 0, beta)
+    assert len(product) == table.entries[(J | L, 1)] == 1
+    assert any(product)
 
 
-def test_star_product_intersecting_supports_is_zero(c4):
+def test_star_product_intersecting_supports_is_rejected(c4):
     table = hochster_table(c4)
-    [alpha] = table.classes(VertexSet([1, 3]), 0)
-    full = VertexSet([1, 2, 3, 4])
-    [top] = table.classes(full, 1)
-    product = star_product(alpha, top, table)
-    assert product.is_zero
+    [alpha] = table.cochain_complex(0b0101).representatives(0)
+    [top] = table.cochain_complex(0b1111).representatives(1)
+    with pytest.raises(InputError, match="supports meet"):
+        star_product(table, 0b0101, 0, alpha, 0b1111, 1, top)
 
 
 def test_star_product_unit_law(c4):
     table = hochster_table(c4)
-    unit = table.unit()
+    unit = {0: Fraction(1)}  # the empty-subset summand in total degree 0
     for I, j, dim in table.positive_entries():
-        for beta in table.classes(I, j):
-            product = star_product(unit, beta, table)
-            assert product.subset == beta.subset
-            assert product.degree == beta.degree
-            assert product.coords == beta.coords
-
-
-def test_star_product_rejects_foreign_classes(c4, c5):
-    table4 = hochster_table(c4)
-    table5 = hochster_table(c5)
-    [alpha] = table4.classes(VertexSet([1, 3]), 0)
-    [beta5] = table5.classes(VertexSet([1, 3]), 0)
-    with pytest.raises(InputError):
-        star_product(alpha, beta5, table4)
+        for i, beta in enumerate(table.cochain_complex(I).representatives(j)):
+            coords = tuple(Fraction(1 if t == i else 0) for t in range(dim))
+            assert star_product(table, 0, -1, unit, I, j, beta) == coords
+            assert star_product(table, I, j, beta, 0, -1, unit) == coords
 
 
 def test_cross_cochain_of_cocycles_is_cocycle():
@@ -196,7 +182,7 @@ def test_trivial_ring_fast_and_slow_paths_agree():
         table = hochster_table(K)
         positive = table.positive_entries()
         disjoint_exists = any(
-            a[0].mask & b[0].mask == 0
+            a[0] & b[0] == 0
             for idx, a in enumerate(positive)
             for b in positive[idx:]
         )
@@ -295,7 +281,7 @@ def test_pruned_table_edge_cases(K):
     assert (table.entries, table.betti) == full_table(K)
     assert list(_unions_of_minimal_nonfaces(K)) == union_closure(K)
     for I in _unions_of_minimal_nonfaces(K):
-        check_rank_shortcuts(table.cochain_complex(VertexSet.from_mask(I)))
+        check_rank_shortcuts(table.cochain_complex(I))
 
 
 def test_visited_subset_counts():
@@ -312,7 +298,7 @@ def test_pruned_table_matches_full_loop(K):
     assert (table.entries, table.betti) == full_table(K)
     faces = K.face_masks()
     for I, _, _ in table.positive_entries():
-        filtered = CochainComplexQ([f for f in faces if f & ~I.mask == 0])
+        filtered = CochainComplexQ([f for f in faces if f & ~I == 0])
         assert table.cochain_complex(I).basis == filtered.basis
 
 
@@ -346,7 +332,7 @@ def test_rank_shortcuts_match_elimination(K, seed):
     table = hochster_table(K)
     visited = list(_unions_of_minimal_nonfaces(K))
     for I in random.Random(seed).sample(visited, min(6, len(visited))):
-        check_rank_shortcuts(table.cochain_complex(VertexSet.from_mask(I)))
+        check_rank_shortcuts(table.cochain_complex(I))
 
 
 def test_spanning_forest_counts_only_the_vertices_of_the_subcomplex():
@@ -377,6 +363,61 @@ def test_restriction_is_the_full_subcomplex(K, data):
     for j in range(-1, inner.top):
         for tau, row in zip(inner.basis[j + 1], inner.coboundary_rows(j)):
             assert whole._rows[tau] is row
+
+
+# ---------------------------------------------------------------------------
+# the star product is a graded commutative, associative ring product
+
+
+def representative_classes(table):
+    """(I, j, cocycle) for every representative of positive total degree."""
+    return [
+        (I, j, rep)
+        for I, j, _ in table.positive_entries()
+        for rep in table.cochain_complex(I).representatives(j)
+    ]
+
+
+def as_cocycle(table, I, j, coords):
+    """The cocycle sum_i coords_i * rep_i over the degree-j representatives of K_I."""
+    cochain = {}
+    for c, rep in zip(coords, table.cochain_complex(I).representatives(j)):
+        for m, v in rep.items():
+            cochain[m] = cochain.get(m, 0) + c * v
+    return {m: v for m, v in cochain.items() if v}
+
+
+@settings(max_examples=40)
+@given(nondegenerate_complexes(max_n=7))
+@example(cycle(6))
+@example(cross_polytope(3))
+@example(join(cycle(4), cycle(5)))
+def test_star_product_is_graded_commutative(K):
+    # alpha * beta = (-1)^(|alpha| |beta|) beta * alpha in the Z(K) degrees j + |I| + 1
+    table = hochster_table(K)
+    for (J, p, alpha), (L, q, beta) in combinations(representative_classes(table), 2):
+        if J & L:
+            continue
+        sign = (-1) ** ((p + J.bit_count() + 1) * (q + L.bit_count() + 1))
+        forward = star_product(table, J, p, alpha, L, q, beta)
+        backward = star_product(table, L, q, beta, J, p, alpha)
+        assert forward == tuple(sign * x for x in backward), (J, p, L, q)
+
+
+@settings(max_examples=40)
+@given(nondegenerate_complexes(max_n=7))
+@example(cross_polytope(3))
+@example(join(cycle(4), cycle(4)))
+def test_star_product_is_associative(K):
+    table = hochster_table(K)
+    for (J, p, alpha), (L, q, beta), (M, s, gamma) in combinations(representative_classes(table), 3):
+        if J & L or J & M or L & M:
+            continue
+        ab = as_cocycle(table, J | L, p + q + 1, star_product(table, J, p, alpha, L, q, beta))
+        bc = as_cocycle(table, L | M, q + s + 1, star_product(table, L, q, beta, M, s, gamma))
+        left = star_product(table, J | L, p + q + 1, ab, M, s, gamma)
+        right = star_product(table, J, p, alpha, L | M, q + s + 1, bc)
+        assert left == right, (J, p, L, q, M, s)
 
 
 # ---------------------------------------------------------------------------

@@ -63,3 +63,8 @@ def test_only_the_front_doors_import_cells():
 @pytest.mark.parametrize("name", sorted(set(MODULES) - {"linalg"}))
 def test_dense_reference_has_no_caller(name):
     assert not names_used(MODULES[name]) & DENSE_REFERENCE
+
+
+def test_ring_layer_speaks_vertex_masks():
+    # the ring scan multiplies representative cocycles keyed by vertex masks, with no class objects
+    assert not names_used(MODULES["cohomology"]) & {"VertexSet", "CohomologyClass"}
