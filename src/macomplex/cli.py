@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import cells
 from .classify import classify
@@ -130,6 +131,32 @@ def run(args: argparse.Namespace) -> tuple[int, object]:
     return max(code for code, _ in results), batch
 
 
+def _dumps(value, pad: str = "") -> str:
+    """Exactly ``json.dumps(value, sort_keys=True, indent=2)``, nested at ``pad``.
+
+    With ``indent`` set, ``json.dumps`` always runs the pure-Python encoder.
+    This walks the shapes reports are made of (str-keyed dicts, lists, exact
+    ints, strings) directly, joins a list of ints in one call, and hands
+    every other value to ``json.dumps`` itself, re-indented to its depth.
+    """
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    inner = pad + "  "
+    if kind is list and value:
+        if all(type(v) is int for v in value):
+            items = map(int.__repr__, value)
+        else:
+            items = [_dumps(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if kind is dict and value and all(type(k) is str for k in value):
+        items = [encode_basestring_ascii(k) + ": " + _dumps(value[k], inner) for k in sorted(value)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+
+
 def _render_text(command: str, report) -> str:
     if isinstance(report, list):
         return "\n".join(
@@ -209,7 +236,7 @@ def main(argv=None) -> int:
     if args.format == "text":
         print(_render_text(args.command, report))
     else:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_dumps(report))
     return code
 
 

@@ -8,7 +8,10 @@ S^{2k+1}: the single class has I of size k+1 and j = k-1.)  The product
 vanishes whenever the supports meet.  For disjoint vertex masks J and L it
 is induced by K_{J|L} -> K_J * K_L: ``star_product`` takes two
 representative cocycles, {face mask: value}, builds their cross cochain on
-K_{J|L} with a Koszul sign, and returns its coordinates there.
+K_{J|L} with a Koszul sign, and returns its coordinates there.  Classes of
+degrees p and q multiply into H~^{p+q+1}(K_{J|L}), so the ring scan skips
+every pair whose target has no table entry (the zero-target rule): that
+group is zero, or K_{J|L} is a cone.
 
 Most subsets contribute nothing (the cone lemma).  If a vertex v of I lies
 in no minimal non-face contained in I, every face of K_I stays a face when
@@ -364,14 +367,16 @@ def star_product_scan(table: HochsterTable):
     """Evaluate every product of two positive-degree classes.
 
     Returns (certificate_of_first_nonzero_or_None, number_of_products).
-    Products whose supports intersect are zero by the pairing rule and are
-    counted without building a cochain.
+    Products whose supports intersect are zero by the pairing rule, and so
+    are products whose target H~^{p+q+1}(K_{J|L}) has no table entry: that
+    group is zero, or J | L is not a union of minimal non-faces and K_{J|L}
+    is a cone.  Both kinds are counted without building a cochain.
     """
     positive = table.positive_entries()
     count = 0
     for ai, (J, p, dim1) in enumerate(positive):
         for L, q, dim2 in positive[ai:]:
-            if J & L:
+            if J & L or (J | L, p + q + 1) not in table.entries:
                 count += dim1 * dim2
                 continue
             for alpha in table.cochain_complex(J).representatives(p):

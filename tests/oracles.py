@@ -3,7 +3,9 @@
 Everything here starts from first definitions (explicit downward closures,
 full subset scans, naive polynomial arithmetic over frozensets and lists)
 and deliberately avoids the package's optimised representations, so each
-test compares two genuinely different routes to the same answer.
+test compares two genuinely different routes to the same answer.  The one
+exception, the unskipped ring scan, reuses ``star_product`` and drops only
+the shortcut it is compared against.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from macomplex import NonfaceFamily, SimplicialComplex, VertexSet
+from macomplex import NonfaceFamily, SimplicialComplex, VertexSet, star_product
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +206,41 @@ def random_pairwise_intersecting_family(rng: random.Random, n: int) -> NonfaceFa
                 members.append(cand)
         if len(members) >= 2:
             return NonfaceFamily(n, [sorted(m) for m in members])
+
+
+# ---------------------------------------------------------------------------
+# the ring scan without the zero-target rule
+
+
+def unskipped_star_product_scan(table):
+    """``star_product_scan`` multiplying every pair of classes with disjoint supports.
+
+    Pairs whose supports meet are counted without a product, as the pairing
+    rule allows; every other pair goes through ``star_product``, whatever its
+    target group.  Returns (certificate of the first non-zero product or None,
+    number of products).
+    """
+    positive = table.positive_entries()
+    count = 0
+    for ai, (J, p, dim1) in enumerate(positive):
+        for L, q, dim2 in positive[ai:]:
+            if J & L:
+                count += dim1 * dim2
+                continue
+            for alpha in table.cochain_complex(J).representatives(p):
+                for beta in table.cochain_complex(L).representatives(q):
+                    count += 1
+                    if any(star_product(table, J, p, alpha, L, q, beta)):
+                        certificate = {
+                            "kind": "nonzero_product",
+                            "J": list(VertexSet.from_mask(J)),
+                            "p": p,
+                            "L": list(VertexSet.from_mask(L)),
+                            "q": q,
+                            "degree": p + q + (J | L).bit_count() + 2,
+                        }
+                        return certificate, count
+    return None, count
 
 
 # ---------------------------------------------------------------------------

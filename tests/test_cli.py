@@ -8,6 +8,8 @@ import time
 
 import jsonschema
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from macomplex import cli, complexes, cycle, from_facets
 
@@ -287,6 +289,34 @@ def test_report_digests_are_unchanged(capsys, command, family, size, digest):
     code, out = run_cli(capsys, [command, "--input", generated])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.floats(),  # nan, -0.0 and both infinities included
+    st.text(),  # quotes, control characters and non-ASCII included
+)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.dictionaries(st.text(), children),
+        st.dictionaries(st.integers(), children),
+    ),
+    max_leaves=30,
+)
+
+
+@given(JSON_TREES)
+@example({"a": [[], {}, [[]], {"b": {}}, [{}]], "": {}})
+@example([float("nan"), float("inf"), -float("inf"), -0.0, 0.5])
+@example({"x": {2: {"y": [1, -2]}, -1: []}, "z": [True, False, None, 3]})
+@example(["\"q\" \\ \n\t\x00\x1f\x7f é 漢 😀", 10**60, -(10**60)])
+def test_report_writer_matches_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 def test_ghost_vertex_exit_code(capsys):

@@ -44,6 +44,7 @@ from oracles import (
     flag_complex,
     random_family,
     random_pairwise_intersecting_family,
+    unskipped_star_product_scan,
 )
 
 
@@ -418,6 +419,26 @@ def test_star_product_is_associative(K):
         left = star_product(table, J | L, p + q + 1, ab, M, s, gamma)
         right = star_product(table, J, p, alpha, L | M, q + s + 1, bc)
         assert left == right, (J, p, L, q, M, s)
+
+
+@settings(max_examples=80)
+@given(
+    st.one_of(
+        st.builds(random_complex, st.integers(1, 8), st.integers(0, 2**32 - 1)),
+        nondegenerate_complexes(max_n=8),
+    )
+)
+@example(cross_polytope(3))
+@example(join(cycle(4), cycle(5)))
+def test_zero_target_skip_matches_the_unskipped_scan(K):
+    table = hochster_table(K)
+    assert star_product_scan(table) == unskipped_star_product_scan(table)
+
+
+@pytest.mark.parametrize("m", range(4, 11))
+def test_zero_target_skip_matches_the_unskipped_scan_on_cycles(m):
+    table = hochster_table(cycle(m))
+    assert star_product_scan(table) == unskipped_star_product_scan(table)
 
 
 # ---------------------------------------------------------------------------
