@@ -20,11 +20,9 @@ from .cohomology import (
 )
 from .complexes import (
     SimplicialComplex,
-    VertexSet,
     boundary_simplex,
     from_facets,
     full_subcomplex,
-    is_face,
     join,
     rank_relabel,
     relabel_complex,
@@ -74,7 +72,6 @@ __all__ = [
     "ResourceError",
     "SimplicialComplex",
     "SphereModel",
-    "VertexSet",
     "boundary_simplex",
     "build",
     "classify",
@@ -90,7 +87,6 @@ __all__ = [
     "growth_certificate",
     "hochster_betti",
     "hochster_table",
-    "is_face",
     "is_trivial_ring",
     "join",
     "minimal_nonfaces",

@@ -19,7 +19,7 @@ independent check of the subset-decomposition route.
 
 from __future__ import annotations
 
-from .complexes import SimplicialComplex, VertexSet, _submasks
+from .complexes import SimplicialComplex, _bits, _submasks
 from .errors import ResourceError
 from .linalg import product_is_zero, rank_sparse
 
@@ -62,10 +62,7 @@ class MomentAngleCellComplex:
 
     def to_json_dict(self) -> dict:
         cells = [
-            {
-                "sigma": list(VertexSet.from_mask(s).vertices()),
-                "omega": list(VertexSet.from_mask(w).vertices()),
-            }
+            {"sigma": list(_bits(s)), "omega": list(_bits(w))}
             for dim_cells in self.cells
             for s, w in dim_cells
         ]

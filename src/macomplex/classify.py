@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, VertexSet, _MembershipIndex
+from .complexes import SimplicialComplex, _bits, _MembershipIndex
 from .errors import NotApplicableError
 from .nonfaces import (
     NonfaceFamily,
@@ -26,14 +26,14 @@ class RationalTypeVerdict(NamedTuple):
     """Outcome of the classification.
 
     Elliptic verdicts carry the sphere dimensions (ascending, all odd) and
-    the even disk dimension; hyperbolic ones carry the witness vertex set
+    the even disk dimension; hyperbolic ones carry the witness vertex mask
     and the non-faces living inside it.
     """
 
     kind: str  # "elliptic" | "hyperbolic"
     sphere_dims: tuple[int, ...] | None = None
     disk_dim: int | None = None
-    witness_vertices: VertexSet | None = None
+    witness_mask: int | None = None
     witness_family: NonfaceFamily | None = None
 
     @property
@@ -49,8 +49,8 @@ class RationalTypeVerdict(NamedTuple):
             }
         return {
             "kind": "hyperbolic",
-            "witness_I": list(self.witness_vertices.vertices()),
-            "witness_nonfaces": [list(m.vertices()) for m in self.witness_family],
+            "witness_I": list(_bits(self.witness_mask)),
+            "witness_nonfaces": [list(_bits(m)) for m in self.witness_family.members],
         }
 
 
@@ -61,15 +61,15 @@ def elliptic_model(M: NonfaceFamily) -> tuple[tuple[int, ...], int]:
     complex of ``M`` is a join of simplex boundaries and a simplex; they
     are disjoint exactly when their sizes add up to |support|.
     """
-    covered = len(support(M))
-    if sum(len(m) for m in M.members) != covered:
+    covered = support(M).bit_count()
+    if sum(m.bit_count() for m in M.members) != covered:
         raise NotApplicableError("non-faces intersect; there is no product-of-spheres model")
-    dims = tuple(sorted(2 * len(m) - 1 for m in M.members))
+    dims = tuple(sorted(2 * m.bit_count() - 1 for m in M.members))
     return dims, 2 * (M.n - covered)
 
 
-def find_witness(M: NonfaceFamily) -> tuple[VertexSet, NonfaceFamily]:
-    """A vertex subset on which all restricted non-faces pairwise intersect.
+def find_witness(M: NonfaceFamily) -> tuple[int, NonfaceFamily]:
+    """A vertex mask on which all restricted non-faces pairwise intersect.
 
     Taken as the union of an intersecting pair with minimal union size;
     minimality forces every further non-face inside the union to meet all
@@ -84,7 +84,7 @@ def find_witness(M: NonfaceFamily) -> tuple[VertexSet, NonfaceFamily]:
     is skipped once that size is at most ``|a| + 1``, the least union of
     ``a`` with a member that neither contains nor equals it.
     """
-    members = [m.mask for m in M.members]
+    members = M.members
     index = _MembershipIndex(members)
     best = None
     for i, a in enumerate(members):
@@ -100,7 +100,7 @@ def find_witness(M: NonfaceFamily) -> tuple[VertexSet, NonfaceFamily]:
                 best = (size, a, b)
     if best is None:
         raise NotApplicableError("no intersecting pair of non-faces")
-    witness = VertexSet.from_mask(best[1] | best[2])
+    witness = best[1] | best[2]
     return witness, restrict_family(M, witness)
 
 
@@ -115,5 +115,5 @@ def classify(K: SimplicialComplex) -> RationalTypeVerdict:
         dims, disk = elliptic_model(M)
     except NotApplicableError:
         witness, family = find_witness(M)
-        return RationalTypeVerdict("hyperbolic", witness_vertices=witness, witness_family=family)
+        return RationalTypeVerdict("hyperbolic", witness_mask=witness, witness_family=family)
     return RationalTypeVerdict("elliptic", sphere_dims=dims, disk_dim=disk)

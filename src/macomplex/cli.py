@@ -67,7 +67,7 @@ def _report_loop_ranks(K, args):
         model = SphereModel(kind="product", dims=verdict.sphere_dims)
         series = product_ranks(model, N=args.truncation)
     else:
-        witness = full_subcomplex(K, verdict.witness_vertices)
+        witness = full_subcomplex(K, verdict.witness_mask)
         model = wedge_model(witness)
         series = free_lie_ranks(model, N=args.truncation)
     growth = growth_certificate(series)

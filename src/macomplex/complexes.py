@@ -1,11 +1,15 @@
 """Finite abstract simplicial complexes stored by their maximal faces.
 
-Vertices are the integers 1..n and every vertex subset is a bitmask, so
-cardinality, union, intersection and containment are single word
-operations.  A complex is determined by its facets; every subset of a
-facet is a face, and the empty set is a face of every complex.  The
-smallest representable complex is {{}} (the complex whose only face is
-the empty set) -- there is no "void" complex without faces.
+Vertices are the integers 1..n and every vertex subset is a plain ``int``
+bitmask: bit v - 1 stands for vertex v, so cardinality, union,
+intersection and containment are single word operations.  Facets,
+non-faces, witnesses and the subsets given to ``full_subcomplex`` are all
+such masks; vertex lists appear only where JSON is read (``_mask_of``) and
+written (``list(_bits(mask))``), and the constructors accept either form
+per set.  A complex is determined by its facets; every subset of a facet
+is a face, and the empty set is a face of every complex.  The smallest
+representable complex is {{}} (the complex whose only face is the empty
+set) -- there is no "void" complex without faces.
 """
 
 from __future__ import annotations
@@ -23,14 +27,31 @@ def _check_vertex_count(n) -> None:
 
 
 def _mask_of(vertices: Iterable[int]) -> int:
-    """Bitmask of plain-int vertices; bools, floats and strings are rejected."""
+    """Bitmask of a list of plain-int vertices; bools, floats and strings are rejected."""
+    try:
+        items = iter(vertices)
+    except TypeError:
+        raise InputError(f"{vertices!r} is neither a vertex mask nor a vertex list") from None
     mask = 0
-    for v in vertices:
+    for v in items:
         if type(v) is not int:
             raise InputError(f"vertex {v!r} is not an integer")
         if not 1 <= v <= MAX_VERTICES:
             raise InputError(f"vertex {v} out of range 1..{MAX_VERTICES}")
         mask |= 1 << (v - 1)
+    return mask
+
+
+def _check_mask(mask, n: int | None, what: str) -> int:
+    """``mask`` itself if it is a vertex mask inside 1..n (any n if None).
+
+    A mask is a non-negative plain ``int``; a ``bool`` or any other type
+    raises ``InputError`` rather than being coerced.
+    """
+    if type(mask) is not int or mask < 0:
+        raise InputError(f"{what} {mask!r} is not a vertex mask")
+    if n is not None and mask >> n:
+        raise InputError(f"{what} {list(_bits(mask))} uses a vertex above n={n}")
     return mask
 
 
@@ -64,70 +85,6 @@ def _compress_mask(mask: int, within: int) -> int:
         pos += 1
         rest ^= low
     return out
-
-
-class VertexSet:
-    """Immutable subset of {1, ..., 63} backed by a bitmask."""
-
-    __slots__ = ("mask",)
-
-    def __init__(self, vertices: Iterable[int] = ()):
-        if isinstance(vertices, VertexSet):
-            self.mask = vertices.mask
-        else:
-            self.mask = _mask_of(vertices)
-
-    @classmethod
-    def from_mask(cls, mask: int) -> "VertexSet":
-        if mask < 0 or mask >> MAX_VERTICES:
-            raise InputError(f"bitmask {mask} out of range for {MAX_VERTICES} vertices")
-        vs = cls.__new__(cls)
-        vs.mask = mask
-        return vs
-
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(_bits(self.mask))
-
-    def intersects(self, other: "VertexSet") -> bool:
-        return bool(self.mask & other.mask)
-
-    def isdisjoint(self, other: "VertexSet") -> bool:
-        return not self.mask & other.mask
-
-    def __iter__(self) -> Iterator[int]:
-        return _bits(self.mask)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __contains__(self, v: int) -> bool:
-        return 1 <= v <= MAX_VERTICES and bool(self.mask >> (v - 1) & 1)
-
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet.from_mask(self.mask | other.mask)
-
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet.from_mask(self.mask & other.mask)
-
-    def __sub__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet.from_mask(self.mask & ~other.mask)
-
-    def __le__(self, other: "VertexSet") -> bool:
-        return self.mask & ~other.mask == 0
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, VertexSet):
-            return self.mask == other.mask
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.mask)
-
-    def __repr__(self) -> str:
-        return f"VertexSet({list(self.vertices())})"
 
 
 class _MembershipIndex:
@@ -201,10 +158,10 @@ def _maximal_masks(masks: Iterable[int]) -> list[int]:
     return kept or [0]
 
 
-def _parse_json(data, what: str, key: str) -> tuple[int, list[VertexSet]]:
-    """``data["n"]`` and the vertex sets listed under ``data[key]``.
+def _parse_json(data, what: str, key: str) -> tuple[int, list[int]]:
+    """``data["n"]`` and the masks of the vertex lists under ``data[key]``.
 
-    Numbers must be plain JSON integers.  ``VertexSet`` and the constructors
+    Numbers must be plain JSON integers.  ``_mask_of`` and the constructors
     reject booleans, floats and numeric strings rather than coerce them, so
     a malformed input never silently becomes some other complex.
     """
@@ -214,55 +171,47 @@ def _parse_json(data, what: str, key: str) -> tuple[int, list[VertexSet]]:
     lists = data[key]
     if not isinstance(lists, list) or not all(isinstance(vs, list) for vs in lists):
         raise InputError(f"{shape}: '{key}' must be a list of vertex lists")
-    return data["n"], [VertexSet(vs) for vs in lists]
+    return data["n"], [_mask_of(vs) for vs in lists]
 
 
 class SimplicialComplex:
     """Simplicial complex on vertices 1..n, stored by facets in canonical order.
 
-    Facets are sorted by (cardinality, bitmask), so structural equality is
-    complex equality.  Instances are immutable and safe to share between
-    threads.
+    Each facet is given as a vertex mask or a vertex list and stored as a
+    mask; the facets are sorted by (cardinality, mask), so structural
+    equality is complex equality.  Instances are immutable and safe to
+    share between threads.
     """
 
     __slots__ = ("n", "facets")
 
     def __init__(self, n: int, facets: Iterable):
         _check_vertex_count(n)
-        masks = []
-        for f in facets:
-            vs = f if isinstance(f, VertexSet) else VertexSet(f)
-            if vs.mask >> n:
-                raise InputError(
-                    f"facet {list(vs.vertices())} uses a vertex above n={n}"
-                )
-            masks.append(vs.mask)
+        masks = [_check_mask(f if type(f) is int else _mask_of(f), n, "facet") for f in facets]
         self.n = n
-        self.facets = tuple(VertexSet.from_mask(m) for m in _maximal_masks(masks))
+        self.facets = tuple(_maximal_masks(masks))
 
-    def is_face(self, sigma: VertexSet) -> bool:
-        m = sigma.mask
-        return any(m & ~f.mask == 0 for f in self.facets)
+    def is_face(self, sigma: int) -> bool:
+        """True iff the mask ``sigma`` lies in some facet; the empty set always does."""
+        _check_mask(sigma, self.n, "face")
+        return any(sigma & ~f == 0 for f in self.facets)
 
-    def covered_vertices(self) -> VertexSet:
+    def covered_vertices(self) -> int:
+        """Mask of the vertices that lie in some facet."""
         mask = 0
         for f in self.facets:
-            mask |= f.mask
-        return VertexSet.from_mask(mask)
+            mask |= f
+        return mask
 
     def face_masks(self) -> frozenset:
-        """Downward closure of the facets, as raw bitmasks (2^n worst case)."""
+        """Downward closure of the facets, as masks (2^n worst case)."""
         out = set()
         for f in self.facets:
-            out.update(_submasks(f.mask))
+            out.update(_submasks(f))
         return frozenset(out)
 
-    def faces(self) -> list[VertexSet]:
-        masks = sorted(self.face_masks(), key=lambda m: (m.bit_count(), m))
-        return [VertexSet.from_mask(m) for m in masks]
-
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "facets": [list(f.vertices()) for f in self.facets]}
+        return {"n": self.n, "facets": [list(_bits(f)) for f in self.facets]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimplicialComplex":
@@ -277,17 +226,12 @@ class SimplicialComplex:
         return hash((self.n, self.facets))
 
     def __repr__(self) -> str:
-        return f"SimplicialComplex(n={self.n}, facets={[list(f.vertices()) for f in self.facets]})"
+        return f"SimplicialComplex(n={self.n}, facets={[list(_bits(f)) for f in self.facets]})"
 
 
 def from_facets(n: int, facets: Iterable) -> SimplicialComplex:
     """Build a complex from a (possibly redundant) facet list."""
     return SimplicialComplex(n, facets)
-
-
-def is_face(K: SimplicialComplex, sigma: VertexSet) -> bool:
-    """True iff ``sigma`` is contained in some facet; the empty set always is."""
-    return K.is_face(sigma)
 
 
 def join(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:
@@ -300,24 +244,17 @@ def join(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:
     if n > MAX_VERTICES:
         raise InputError(f"join would need {n} > {MAX_VERTICES} vertices")
     shift = K1.n
-    facets = [
-        VertexSet.from_mask(f1.mask | (f2.mask << shift))
-        for f1 in K1.facets
-        for f2 in K2.facets
-    ]
-    return SimplicialComplex(n, facets)
+    return SimplicialComplex(n, [f1 | (f2 << shift) for f1 in K1.facets for f2 in K2.facets])
 
 
-def full_subcomplex(K: SimplicialComplex, I: VertexSet) -> SimplicialComplex:
-    """Restriction of ``K`` to the vertex subset ``I``.
+def full_subcomplex(K: SimplicialComplex, I: int) -> SimplicialComplex:
+    """Restriction of ``K`` to the vertex mask ``I``.
 
     Faces of the result are the intersections of faces of K with I; the
     result is relabelled order-preservingly onto 1..|I|.
     """
-    if I.mask >> K.n:
-        raise InputError(f"subset {list(I.vertices())} not contained in 1..{K.n}")
-    facets = [VertexSet.from_mask(_compress_mask(f.mask & I.mask, I.mask)) for f in K.facets]
-    return SimplicialComplex(len(I), facets)
+    _check_mask(I, K.n, "subset")
+    return SimplicialComplex(I.bit_count(), [_compress_mask(f & I, I) for f in K.facets])
 
 
 def simplex(q: int) -> SimplicialComplex:
@@ -325,8 +262,7 @@ def simplex(q: int) -> SimplicialComplex:
     if q < 0:
         raise InputError(f"simplex dimension must be >= 0, got {q}")
     _check_vertex_count(q + 1)
-    full = (1 << (q + 1)) - 1
-    return SimplicialComplex(q + 1, [VertexSet.from_mask(full)])
+    return SimplicialComplex(q + 1, [(1 << (q + 1)) - 1])
 
 
 def boundary_simplex(q: int) -> SimplicialComplex:
@@ -338,8 +274,7 @@ def boundary_simplex(q: int) -> SimplicialComplex:
         raise InputError(f"boundary simplex dimension must be >= 0, got {q}")
     _check_vertex_count(q + 1)
     full = (1 << (q + 1)) - 1
-    facets = [VertexSet.from_mask(full ^ (1 << i)) for i in range(q + 1)]
-    return SimplicialComplex(q + 1, facets)
+    return SimplicialComplex(q + 1, [full ^ (1 << i) for i in range(q + 1)])
 
 
 def relabel_complex(K: SimplicialComplex, mapping: dict) -> SimplicialComplex:
@@ -348,12 +283,13 @@ def relabel_complex(K: SimplicialComplex, mapping: dict) -> SimplicialComplex:
         range(1, K.n + 1)
     ):
         raise InputError("mapping must be a bijection of 1..n")
-    facets = [VertexSet(mapping[v] for v in f) for f in K.facets]
-    return SimplicialComplex(K.n, facets)
+    return SimplicialComplex(K.n, [[mapping[v] for v in _bits(f)] for f in K.facets])
 
 
-def rank_relabel(subset: VertexSet, within: VertexSet) -> VertexSet:
-    """Relabel ``subset`` (contained in ``within``) onto 1..|within| by rank."""
-    if subset.mask & ~within.mask:
+def rank_relabel(subset: int, within: int) -> int:
+    """Relabel the mask ``subset`` (inside ``within``) onto 1..|within| by rank."""
+    _check_mask(subset, None, "subset")
+    _check_mask(within, None, "domain")
+    if subset & ~within:
         raise InputError("subset is not contained in the relabelling domain")
-    return VertexSet.from_mask(_compress_mask(subset.mask, within.mask))
+    return _compress_mask(subset, within)

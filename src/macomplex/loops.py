@@ -20,10 +20,11 @@ from typing import NamedTuple
 
 from .cohomology import hochster_betti, is_trivial_ring
 from .complexes import SimplicialComplex, _MembershipIndex
-from .errors import InputError, NotApplicableError
+from .errors import InputError, NotApplicableError, ResourceError
 from .nonfaces import _minimal_nonface_masks
 
 GROWTH_DELTA = 0.05  # a growth ratio is reported only above 1 + GROWTH_DELTA
+MAX_TRUNCATION = 1000  # the wedge solver's time grows faster than N^2
 
 
 class SphereModel(NamedTuple):
@@ -105,6 +106,12 @@ def wedge_model(K_I: SimplicialComplex) -> SphereModel:
     return SphereModel(kind="wedge", dims=tuple(dims))
 
 
+def _check_truncation(N: int) -> None:
+    """Refuse a truncation above MAX_TRUNCATION before any series is allocated."""
+    if N > MAX_TRUNCATION:
+        raise ResourceError(f"truncation N={N} exceeds the limit of {MAX_TRUNCATION}")
+
+
 def _tensor_series(gen_degrees, N: int) -> list[int]:
     """Coefficients of 1 / (1 - sum_i t^g_i) through degree N."""
     a = [0] * (N + 1)
@@ -136,6 +143,7 @@ def free_lie_ranks(model: SphereModel, N: int = 24) -> HomotopyRankSeries:
         raise InputError("free Lie ranks only apply to wedge models")
     if N < 1:
         raise InputError("truncation must be at least 1")
+    _check_truncation(N)
     if not model.dims:
         raise InputError("wedge must contain at least one sphere")
     if any(d < 3 for d in model.dims):
@@ -160,6 +168,7 @@ def product_ranks(model: SphereModel, N: int = 24) -> HomotopyRankSeries:
         raise InputError("product ranks only apply to product models")
     if any(d % 2 == 0 for d in model.dims):
         raise InputError("product models must consist of odd spheres")
+    _check_truncation(N)
     if model.dims and N < max(model.dims) - 1:
         raise InputError("truncation too small to hold every sphere's class")
     ranks = [0] * (N + 1)

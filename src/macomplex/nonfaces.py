@@ -16,9 +16,11 @@ from typing import Iterable
 
 from .complexes import (
     SimplicialComplex,
-    VertexSet,
+    _bits,
+    _check_mask,
     _check_vertex_count,
     _compress_mask,
+    _mask_of,
     _MembershipIndex,
     _parse_json,
 )
@@ -26,7 +28,11 @@ from .errors import GhostVertexError, InputError
 
 
 class NonfaceFamily:
-    """An antichain of vertex sets of size >= 2 inside 1..n."""
+    """An antichain of vertex sets of size >= 2 inside 1..n.
+
+    Each member is given as a vertex mask or a vertex list and stored as a
+    mask; the members are sorted by mask.
+    """
 
     __slots__ = ("n", "members")
 
@@ -34,24 +40,20 @@ class NonfaceFamily:
         _check_vertex_count(n)
         sets = []
         for m in members:
-            vs = m if isinstance(m, VertexSet) else VertexSet(m)
-            if vs.mask >> n:
-                raise InputError(f"non-face {list(vs.vertices())} uses a vertex above n={n}")
-            if len(vs) < 2:
-                raise InputError(
-                    f"non-face {list(vs.vertices())} has fewer than 2 vertices"
-                )
-            sets.append(vs.mask)
+            mask = _check_mask(m if type(m) is int else _mask_of(m), n, "non-face")
+            if mask.bit_count() < 2:
+                raise InputError(f"non-face {list(_bits(mask))} has fewer than 2 vertices")
+            sets.append(mask)
         uniq = sorted(set(sets))
         index = _MembershipIndex(uniq)
         for i, a in enumerate(uniq):
             if index.containing(a) != 1 << i:  # some other member contains a
                 raise InputError("non-face family is not an antichain")
         self.n = n
-        self.members = tuple(VertexSet.from_mask(m) for m in uniq)
+        self.members = tuple(uniq)
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "members": [list(m.vertices()) for m in self.members]}
+        return {"n": self.n, "members": [list(_bits(m)) for m in self.members]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NonfaceFamily":
@@ -72,7 +74,7 @@ class NonfaceFamily:
         return hash((self.n, self.members))
 
     def __repr__(self) -> str:
-        return f"NonfaceFamily(n={self.n}, members={[list(m.vertices()) for m in self.members]})"
+        return f"NonfaceFamily(n={self.n}, members={[list(_bits(m)) for m in self.members]})"
 
 
 def _minimal_transversals(sets: list[int], universe: int) -> list[int]:
@@ -125,7 +127,7 @@ def _minimal_nonface_masks(K: SimplicialComplex) -> list[int]:
     it is a minimal transversal of the facet complements like any other.
     """
     full = (1 << K.n) - 1
-    return _minimal_transversals([full & ~f.mask for f in K.facets], full)
+    return _minimal_transversals([full & ~f for f in K.facets], full)
 
 
 def minimal_nonfaces(K: SimplicialComplex) -> NonfaceFamily:
@@ -134,44 +136,40 @@ def minimal_nonfaces(K: SimplicialComplex) -> NonfaceFamily:
     Every singleton must be a face; a vertex in no facet would be a
     one-element non-face, which the family type excludes.
     """
-    covered = K.covered_vertices().mask
-    full = (1 << K.n) - 1
-    missing = full & ~covered
+    missing = ((1 << K.n) - 1) & ~K.covered_vertices()
     if missing:
         raise GhostVertexError((missing & -missing).bit_length())
-    return NonfaceFamily(K.n, [VertexSet.from_mask(m) for m in _minimal_nonface_masks(K)])
+    return NonfaceFamily(K.n, _minimal_nonface_masks(K))
 
 
 def reconstruct(M: NonfaceFamily) -> SimplicialComplex:
     """The complex on 1..M.n whose faces are the sets containing no member of ``M``."""
     full = (1 << M.n) - 1
-    transversals = _minimal_transversals([m.mask for m in M.members], full)
-    return SimplicialComplex(M.n, [VertexSet.from_mask(full ^ t) for t in transversals])
+    transversals = _minimal_transversals(M.members, full)
+    return SimplicialComplex(M.n, [full ^ t for t in transversals])
 
 
-def support(M: NonfaceFamily) -> VertexSet:
-    """Union of all members of the family."""
+def support(M: NonfaceFamily) -> int:
+    """Mask of the union of all members of the family."""
     mask = 0
     for m in M.members:
-        mask |= m.mask
-    return VertexSet.from_mask(mask)
+        mask |= m
+    return mask
 
 
-def restrict_family(M: NonfaceFamily, I: VertexSet) -> NonfaceFamily:
-    """Members of ``M`` contained in ``I`` (labels unchanged)."""
-    if I.mask >> M.n:
-        raise InputError(f"subset {list(I.vertices())} not contained in 1..{M.n}")
-    return NonfaceFamily(M.n, [m for m in M.members if m.mask & ~I.mask == 0])
+def restrict_family(M: NonfaceFamily, I: int) -> NonfaceFamily:
+    """Members of ``M`` contained in the vertex mask ``I`` (labels unchanged)."""
+    _check_mask(I, M.n, "subset")
+    return NonfaceFamily(M.n, [m for m in M.members if m & ~I == 0])
 
 
-def relabel_family(M: NonfaceFamily, I: VertexSet) -> NonfaceFamily:
-    """Rank-relabel a family whose members all lie in ``I`` onto 1..|I|."""
+def relabel_family(M: NonfaceFamily, I: int) -> NonfaceFamily:
+    """Rank-relabel a family whose members all lie in the mask ``I`` onto 1..|I|."""
+    _check_mask(I, M.n, "subset")
     for m in M.members:
-        if m.mask & ~I.mask:
-            raise InputError(f"member {list(m.vertices())} is not contained in I")
-    return NonfaceFamily(
-        len(I), [VertexSet.from_mask(_compress_mask(m.mask, I.mask)) for m in M.members]
-    )
+        if m & ~I:
+            raise InputError(f"member {list(_bits(m))} is not contained in I")
+    return NonfaceFamily(I.bit_count(), [_compress_mask(m, I) for m in M.members])
 
 
 def ghost_split(M: NonfaceFamily) -> tuple[SimplicialComplex, int]:
@@ -182,4 +180,4 @@ def ghost_split(M: NonfaceFamily) -> tuple[SimplicialComplex, int]:
     of the two up to relabelling.
     """
     nu = support(M)
-    return reconstruct(relabel_family(M, nu)), M.n - len(nu)
+    return reconstruct(relabel_family(M, nu)), M.n - nu.bit_count()

@@ -14,7 +14,17 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from macomplex import NonfaceFamily, SimplicialComplex, VertexSet, star_product
+from macomplex import NonfaceFamily, SimplicialComplex, star_product
+
+
+def vertices_of(mask: int) -> list[int]:
+    """The vertices (bit v - 1 stands for vertex v) of a mask, ascending."""
+    return [b + 1 for b in range(mask.bit_length()) if mask >> b & 1]
+
+
+def mask_of(vertices) -> int:
+    """The mask of a collection of vertices."""
+    return sum(1 << (v - 1) for v in set(vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -25,7 +35,7 @@ def brute_faces(K: SimplicialComplex) -> set[frozenset]:
     """Downward closure enumerated subset-by-subset from the facet list."""
     faces = set()
     for facet in K.facets:
-        vs = list(facet.vertices())
+        vs = vertices_of(facet)
         for r in range(len(vs) + 1):
             for combo in combinations(vs, r):
                 faces.add(frozenset(combo))
@@ -67,7 +77,7 @@ def brute_reconstruct_facets(members, n: int) -> set[frozenset]:
 
 
 def facet_sets(K: SimplicialComplex) -> set[frozenset]:
-    return {frozenset(f.vertices()) for f in K.facets}
+    return {frozenset(vertices_of(f)) for f in K.facets}
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +122,7 @@ def enumerate_complexes(n: int):
             yield from extend(chosen + [s])
 
     for antichain in extend([]):
-        yield SimplicialComplex(n, [VertexSet.from_mask(m) for m in antichain])
+        yield SimplicialComplex(n, antichain)
 
 
 def _permute_mask(mask: int, perm) -> int:
@@ -125,7 +135,7 @@ def _permute_mask(mask: int, perm) -> int:
 
 def canonical_key(K: SimplicialComplex):
     """Minimum facet encoding over all vertex relabelings; an isomorphism invariant."""
-    masks = [f.mask for f in K.facets]
+    masks = list(K.facets)
     best = None
     for perm in permutations(range(K.n)):
         relabeled = tuple(
@@ -188,7 +198,7 @@ def random_intersecting_family(rng: random.Random, n: int) -> NonfaceFamily:
         members = list(family)
         for i, a in enumerate(members):
             for b in members[i + 1 :]:
-                if a.intersects(b):
+                if a & b:
                     return family
 
 
@@ -233,9 +243,9 @@ def unskipped_star_product_scan(table):
                     if any(star_product(table, J, p, alpha, L, q, beta)):
                         certificate = {
                             "kind": "nonzero_product",
-                            "J": list(VertexSet.from_mask(J)),
+                            "J": vertices_of(J),
                             "p": p,
-                            "L": list(VertexSet.from_mask(L)),
+                            "L": vertices_of(L),
                             "q": q,
                             "degree": p + q + (J | L).bit_count() + 2,
                         }

@@ -6,7 +6,6 @@ import pytest
 from macomplex import (
     ResourceError,
     SimplicialComplex,
-    VertexSet,
     boundary_simplex,
     build,
     cross_polytope,
@@ -46,7 +45,7 @@ def test_cell_count_formula():
     for i in range(20):
         K = random_complex(rng.randint(1, 6), seed=6600 + i)
         C = build(K)
-        expected = sum(1 << (K.n - len(f)) for f in K.faces())
+        expected = sum(1 << (K.n - f.bit_count()) for f in K.face_masks())
         assert C.cell_count == expected
 
 
@@ -115,7 +114,7 @@ def test_retract_inequality_over_full_subcomplexes():
         K = random_complex(n, seed=1100 + i)
         big = oracle_betti(build(K))
         for I_mask in range(1 << n):
-            sub = full_subcomplex(K, VertexSet.from_mask(I_mask))
+            sub = full_subcomplex(K, I_mask)
             small = oracle_betti(build(sub))
             for degree, value in enumerate(small):
                 assert value <= (big[degree] if degree < len(big) else 0), (
@@ -142,7 +141,7 @@ def test_cell_limit_guard():
 
 def test_chain_dump_shape(c4):
     data = build(c4).to_json_dict()
-    assert len(data["cells"]) == sum(1 << (4 - len(f)) for f in c4.faces())
+    assert len(data["cells"]) == sum(1 << (4 - f.bit_count()) for f in c4.face_masks())
     dims = [entry["dim"] for entry in data["boundary"]]
     assert dims == sorted(dims)
     for entry in data["boundary"]:

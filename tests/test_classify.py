@@ -8,7 +8,6 @@ from macomplex import (
     NonfaceFamily,
     NotApplicableError,
     SimplicialComplex,
-    VertexSet,
     boundary_simplex,
     classify,
     cycle,
@@ -24,13 +23,13 @@ from macomplex import (
     restrict_family,
     simplex,
 )
-from oracles import convolve, random_family, random_intersecting_family
+from oracles import convolve, random_family, random_intersecting_family, mask_of, vertices_of
 
 
 def has_meeting_pair(M: NonfaceFamily) -> bool:
     """Whether two members of ``M`` share a vertex, by testing every pair."""
     members = list(M)
-    return any(a.intersects(b) for i, a in enumerate(members) for b in members[i + 1 :])
+    return any(a & b for i, a in enumerate(members) for b in members[i + 1 :])
 
 
 def test_classify_boundary_simplices():
@@ -52,8 +51,8 @@ def test_classify_simplices():
 def test_classify_c5(c5):
     verdict = classify(c5)
     assert not verdict.is_elliptic
-    assert verdict.witness_vertices == VertexSet([1, 3, 4])
-    assert {frozenset(m.vertices()) for m in verdict.witness_family} == {
+    assert verdict.witness_mask == 0b1101
+    assert {frozenset(vertices_of(m)) for m in verdict.witness_family} == {
         frozenset({1, 3}),
         frozenset({1, 4}),
     }
@@ -61,22 +60,22 @@ def test_classify_c5(c5):
 
 def test_find_witness_examples():
     I, MI = find_witness(NonfaceFamily(3, [[1, 2], [2, 3]]))
-    assert I == VertexSet([1, 2, 3]) and len(MI) == 2
+    assert I == 0b111 and len(MI) == 2
 
     # all five intersecting pairs of the C5 family have unions of size 3;
     # the first pair in canonical order wins
     M = NonfaceFamily(5, [[1, 3], [1, 4], [2, 4], [2, 5], [3, 5]])
     I, MI = find_witness(M)
-    assert I == VertexSet([1, 3, 4])
-    assert {frozenset(m.vertices()) for m in MI} == {
+    assert I == 0b1101
+    assert {frozenset(vertices_of(m)) for m in MI} == {
         frozenset({1, 3}),
         frozenset({1, 4}),
     }
 
     M = NonfaceFamily(6, [[1, 2, 3], [3, 4], [4, 5, 6]])
     I, MI = find_witness(M)
-    assert I == VertexSet([1, 2, 3, 4])
-    assert {frozenset(m.vertices()) for m in MI} == {
+    assert I == 0b1111
+    assert {frozenset(vertices_of(m)) for m in MI} == {
         frozenset({1, 2, 3}),
         frozenset({3, 4}),
     }
@@ -92,10 +91,10 @@ def all_pairs_witness(M):
     members = M.members
     return min(
         (
-            ((a.mask | b.mask).bit_count(), a.mask, b.mask)
+            ((a | b).bit_count(), a, b)
             for i, a in enumerate(members)
             for b in members[i + 1 :]
-            if a.mask & b.mask
+            if a & b
         ),
         default=None,
     )
@@ -104,14 +103,14 @@ def all_pairs_witness(M):
 @given(st.lists(st.integers(0, 1023).filter(lambda m: m.bit_count() >= 2), max_size=12))
 def test_find_witness_matches_all_pairs_min(masks):
     antichain = [m for m in set(masks) if not any(m != k and k & ~m == 0 for k in masks)]
-    M = NonfaceFamily(10, [VertexSet.from_mask(m) for m in antichain])
+    M = NonfaceFamily(10, antichain)
     best = all_pairs_witness(M)
     if best is None:
         with pytest.raises(NotApplicableError):
             find_witness(M)
         return
     I, MI = find_witness(M)
-    assert I.mask == best[1] | best[2]
+    assert I == best[1] | best[2]
     assert MI == restrict_family(M, I)
 
 
@@ -129,13 +128,13 @@ def test_witness_ignores_input_order(seed):
         facets = list(K.facets)
         rng.shuffle(facets)
         assert classify(SimplicialComplex(K.n, facets)) == verdict
-    assert verdict.witness_vertices == expected[0]
+    assert verdict.witness_mask == expected[0]
 
 
 def test_long_cycle_witness():
     verdict = classify(cycle(63))
-    assert verdict.witness_vertices == VertexSet([1, 3, 4])
-    assert [list(m) for m in verdict.witness_family] == [[1, 3], [1, 4]]
+    assert verdict.witness_mask == 0b1101
+    assert [vertices_of(m) for m in verdict.witness_family] == [[1, 3], [1, 4]]
 
 
 def test_elliptic_model_examples():
@@ -157,14 +156,14 @@ def test_dichotomy_totality():
         verdict = classify(K)
         assert verdict.is_elliptic == (not has_meeting_pair(M))
         if verdict.is_elliptic:
-            assert sorted(verdict.sphere_dims) == sorted(2 * len(m) - 1 for m in M)
+            assert sorted(verdict.sphere_dims) == sorted(2 * m.bit_count() - 1 for m in M)
         else:
             members = list(verdict.witness_family)
             assert len(members) >= 2
             for a_idx, a in enumerate(members):
                 for b in members[a_idx + 1 :]:
-                    assert a.intersects(b)
-                    assert (a | b) == verdict.witness_vertices
+                    assert a & b
+                    assert (a | b) == verdict.witness_mask
 
 
 def test_witness_union_law_random():
@@ -176,7 +175,7 @@ def test_witness_union_law_random():
         assert len(members) >= 2
         for i, a in enumerate(members):
             for b in members[i + 1 :]:
-                assert a.intersects(b)
+                assert a & b
                 assert (a | b) == I
 
 
@@ -207,20 +206,18 @@ def test_witness_summands_appear_verbatim():
         K = random_complex(n, seed=2600 + i)
         table = hochster_table(K)
         I_mask = rng.randint(1, (1 << n) - 1)
-        I = VertexSet.from_mask(I_mask)
+        I = I_mask
         sub_table = hochster_table(full_subcomplex(K, I))
-        vertices = sorted(I.vertices())
+        vertices = vertices_of(I)
         for (sub_mask, j), dim in sub_table.entries.items():
-            original = VertexSet(
-                vertices[r - 1] for r in VertexSet.from_mask(sub_mask).vertices()
-            )
-            assert table.entries.get((original.mask, j), 0) == dim
+            original = mask_of(vertices[r - 1] for r in vertices_of(sub_mask))
+            assert table.entries.get((original, j), 0) == dim
         # and conversely for subsets inside I
         for (mask, j), dim in table.entries.items():
-            if mask & ~I.mask:
+            if mask & ~I:
                 continue
-            relabeled = rank_relabel(VertexSet.from_mask(mask), I)
-            assert sub_table.entries.get((relabeled.mask, j), 0) == dim
+            relabeled = rank_relabel(mask, I)
+            assert sub_table.entries.get((relabeled, j), 0) == dim
 
 
 def test_classify_matches_reconstruction():

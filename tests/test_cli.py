@@ -129,7 +129,12 @@ def test_generate_checks_the_vertex_count_before_building(capsys, monkeypatch, f
     def build(*args):
         raise AssertionError("facets were built before the vertex count was checked")
 
-    for module, name in ((families, "from_facets"), (families, "join"), (complexes, "VertexSet")):
+    for module, name in (
+        (families, "from_facets"),
+        (families, "join"),
+        (complexes, "_mask_of"),
+        (complexes, "SimplicialComplex"),
+    ):
         monkeypatch.setattr(module, name, build)
     code, report = run_json(capsys, ["generate", "--family", family, "--size", str(size)])
     assert code == 2
@@ -362,6 +367,15 @@ def test_cell_count_guard_fires_before_any_work(capsys, monkeypatch, command):
     assert report["error"] == {
         "type": "ResourceError",
         "message": "at least 2^20 cells exceed the configured limit of 531441",
+    }
+
+
+def test_loop_ranks_refuses_a_truncation_above_the_limit(capsys):
+    code, report = run_json(capsys, ["loop-ranks", "--truncation", str(10**18), "--input", C5_JSON])
+    assert code == 3
+    assert report["error"] == {
+        "type": "ResourceError",
+        "message": f"truncation N={10**18} exceeds the limit of 1000",
     }
 
 

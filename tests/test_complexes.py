@@ -4,52 +4,72 @@ from hypothesis import strategies as st
 
 from macomplex import (
     InputError,
+    NonfaceFamily,
     SimplicialComplex,
-    VertexSet,
     boundary_simplex,
     from_facets,
     full_subcomplex,
-    is_face,
     join,
     rank_relabel,
     relabel_complex,
+    relabel_family,
+    restrict_family,
     simplex,
 )
-from macomplex.complexes import _maximal_masks
-from oracles import brute_faces, brute_is_face, facet_sets
-
-
-def test_vertexset_operations():
-    a = VertexSet([1, 3])
-    b = VertexSet([3, 4])
-    assert len(a) == 2
-    assert list(a) == [1, 3]
-    assert 3 in a and 2 not in a
-    assert (a | b) == VertexSet([1, 3, 4])
-    assert (a & b) == VertexSet([3])
-    assert (a - b) == VertexSet([1])
-    assert a <= VertexSet([1, 2, 3])
-    assert not b <= a
-    assert a.intersects(b)
-    assert a.isdisjoint(VertexSet([2, 4]))
-    assert not VertexSet()
-    assert VertexSet.from_mask(a.mask) == a
+from macomplex.complexes import _mask_of, _maximal_masks
+from oracles import brute_faces, brute_is_face, facet_sets, mask_of, vertices_of
 
 
 def test_vertexset_range_validation():
     with pytest.raises(InputError):
-        VertexSet([0])
+        _mask_of([0])
     with pytest.raises(InputError):
-        VertexSet([64])
+        _mask_of([64])
+    with pytest.raises(InputError):
+        from_facets(3, [[0]])
+    with pytest.raises(InputError):
+        from_facets(63, [[64]])
 
 
 # int() would coerce each to valid vertices: {2}, {1}, {1}, {1, 3}.
 @pytest.mark.parametrize("vertices", [[2.7], ["1"], [True], [1.9, "3"]])
-def test_vertexset_rejects_non_integers(vertices):
+def test_vertex_lists_reject_non_integers(vertices):
     with pytest.raises(InputError):
-        VertexSet(vertices)
+        _mask_of(vertices)
     with pytest.raises(InputError):
         from_facets(3, [vertices])
+
+
+def test_facets_and_non_faces_are_masks_or_vertex_lists():
+    K = from_facets(4, [0b0011, [2, 3], 0b1100, [1, 4]])
+    assert K.facets == (0b0011, 0b0110, 0b1001, 0b1100)
+    assert K == from_facets(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
+    M = NonfaceFamily(4, [0b0101, [2, 4]])
+    assert M.members == (0b0101, 0b1010)
+    assert M == NonfaceFamily(4, [[1, 3], [2, 4]])
+
+
+N = 4
+C4 = SimplicialComplex(N, [[1, 2], [2, 3], [3, 4], [1, 4]])
+M4 = NonfaceFamily(N, [[1, 3], [2, 4]])
+# every public function that takes a vertex mask, fed one bad mask
+MASK_TAKERS = {
+    "SimplicialComplex": lambda m: SimplicialComplex(N, [m]),
+    "NonfaceFamily": lambda m: NonfaceFamily(N, [m]),
+    "is_face": lambda m: C4.is_face(m),
+    "full_subcomplex": lambda m: full_subcomplex(C4, m),
+    "restrict_family": lambda m: restrict_family(M4, m),
+    "relabel_family": lambda m: relabel_family(M4, m),
+    "rank_relabel-subset": lambda m: rank_relabel(m, (1 << N) - 1),
+    "rank_relabel-within": lambda m: rank_relabel((1 << N) - 1, m),
+}
+
+
+@pytest.mark.parametrize("mask", [True, -1, 1 << N, "3"], ids=repr)
+@pytest.mark.parametrize("call", MASK_TAKERS.values(), ids=MASK_TAKERS)
+def test_bad_masks_raise_input_error(call, mask):
+    with pytest.raises(InputError):
+        call(mask)
 
 
 @pytest.mark.parametrize("n", [True, 3.0, "3", -1, 64, 99])
@@ -74,7 +94,7 @@ def test_from_facets_c4_faces_match_definition(c4):
     expected |= {frozenset({v}) for v in range(1, 5)}
     expected |= {frozenset(e) for e in ({1, 2}, {2, 3}, {3, 4}, {1, 4})}
     assert brute_faces(c4) == expected
-    assert {frozenset(f.vertices()) for f in c4.faces()} == expected
+    assert {frozenset(vertices_of(f)) for f in c4.face_masks()} == expected
 
 
 def test_from_facets_vertex_out_of_range():
@@ -87,21 +107,21 @@ def test_canonical_order_and_equality():
     K2 = from_facets(4, [[1, 4], [2, 3], [1, 2], [3, 4]])
     assert K1 == K2
     assert hash(K1) == hash(K2)
-    masks = [f.mask for f in K1.facets]
+    masks = list(K1.facets)
     assert masks == sorted(masks)
 
 
 def test_empty_complex_has_empty_face():
     K = from_facets(2, [])
     assert facet_sets(K) == {frozenset()}
-    assert is_face(K, VertexSet())
-    assert not is_face(K, VertexSet([1]))
+    assert K.is_face(0)
+    assert not K.is_face(0b1)
 
 
 def test_is_face_examples(c4):
-    assert not is_face(c4, VertexSet([1, 3]))
-    assert is_face(c4, VertexSet())
-    assert is_face(simplex(2), VertexSet([1, 3]))
+    assert not c4.is_face(0b101)
+    assert c4.is_face(0)
+    assert simplex(2).is_face(0b101)
 
 
 @given(st.integers(0, 2**8 - 1), st.integers(0, 10**6))
@@ -115,8 +135,8 @@ def test_is_face_matches_bruteforce(sigma_mask, seed):
         for _ in range(rng.randint(1, 6))
     ]
     K = from_facets(n, facets)
-    sigma = VertexSet.from_mask(sigma_mask & ((1 << n) - 1))
-    assert is_face(K, sigma) == brute_is_face(K, sigma.vertices())
+    sigma = sigma_mask & ((1 << n) - 1)
+    assert K.is_face(sigma) == brute_is_face(K, vertices_of(sigma))
 
 
 def test_join_of_point_pairs_is_four_cycle():
@@ -142,18 +162,18 @@ def test_join_associative_up_to_nothing():
 
 
 def test_full_subcomplex_examples(c4):
-    K = full_subcomplex(c4, VertexSet([1, 3]))
+    K = full_subcomplex(c4, 0b101)
     assert K == from_facets(2, [[1], [2]])
-    assert full_subcomplex(c4, VertexSet()) == SimplicialComplex(0, [])
-    assert full_subcomplex(c4, VertexSet([1, 2, 3, 4])) == c4
+    assert full_subcomplex(c4, 0) == SimplicialComplex(0, [])
+    assert full_subcomplex(c4, 0b1111) == c4
 
 
 def test_full_subcomplex_nesting(c4):
     # restricting twice equals restricting to the traced-back subset
-    I = VertexSet([1, 2, 3])
-    inner = VertexSet([1, 3])  # ranks within I -> original vertices 1 and 3
+    I = 0b111
+    inner = 0b101  # ranks within I -> original vertices 1 and 3
     lhs = full_subcomplex(full_subcomplex(c4, I), inner)
-    original = VertexSet([sorted(I.vertices())[r - 1] for r in inner.vertices()])
+    original = mask_of(vertices_of(I)[r - 1] for r in vertices_of(inner))
     assert lhs == full_subcomplex(c4, original)
 
 
@@ -168,11 +188,11 @@ def test_full_subcomplex_nesting_property(I_mask, inner_bits, seed):
         for _ in range(rng.randint(1, 5))
     ]
     K = from_facets(n, facets)
-    I = VertexSet.from_mask(I_mask & ((1 << n) - 1))
-    inner = VertexSet.from_mask(inner_bits & ((1 << len(I)) - 1))
+    I = I_mask & ((1 << n) - 1)
+    inner = inner_bits & ((1 << I.bit_count()) - 1)
     lhs = full_subcomplex(full_subcomplex(K, I), inner)
-    ordered = sorted(I.vertices())
-    original = VertexSet(ordered[r - 1] for r in inner.vertices())
+    ordered = vertices_of(I)
+    original = mask_of(ordered[r - 1] for r in vertices_of(inner))
     assert lhs == full_subcomplex(K, original)
 
 
@@ -250,9 +270,9 @@ def test_relabel_complex(c4):
 
 
 def test_rank_relabel():
-    assert rank_relabel(VertexSet([3, 5]), VertexSet([1, 3, 5])) == VertexSet([2, 3])
+    assert rank_relabel(0b10100, 0b10101) == 0b110
     with pytest.raises(InputError):
-        rank_relabel(VertexSet([2]), VertexSet([1, 3]))
+        rank_relabel(0b10, 0b101)
 
 
 def brute_maximal_masks(masks):

@@ -8,6 +8,7 @@ from macomplex import (
     InputError,
     NonfaceFamily,
     NotApplicableError,
+    ResourceError,
     SimplicialComplex,
     SphereModel,
     boundary_simplex,
@@ -20,6 +21,7 @@ from macomplex import (
     reconstruct,
     wedge_model,
 )
+from macomplex.loops import MAX_TRUNCATION
 from oracles import expand_rank_product, loop_space_series
 
 
@@ -150,7 +152,7 @@ def test_two_equal_generators_match_necklace_counts():
 
 def test_wedge_model_of_c5_witness(c5):
     verdict = classify(c5)
-    witness = full_subcomplex(c5, verdict.witness_vertices)
+    witness = full_subcomplex(c5, verdict.witness_mask)
     model = wedge_model(witness)
     assert model.kind == "wedge"
     assert model.dims == (3, 3, 4)
@@ -195,3 +197,22 @@ def test_free_lie_ranks_input_validation():
         free_lie_ranks(SphereModel("product", (3,)), 10)
     with pytest.raises(InputError):
         free_lie_ranks(SphereModel("wedge", (2,)), 10)
+
+
+# 10**18 series entries could never be allocated: were the bound checked
+# after the series lists, the test would fail at once with MemoryError.
+@pytest.mark.parametrize("N", [MAX_TRUNCATION + 1, 10**18])
+@pytest.mark.parametrize(
+    "solve, model",
+    [(free_lie_ranks, SphereModel("wedge", (3, 3))), (product_ranks, SphereModel("product", (3,)))],
+    ids=["wedge", "product"],
+)
+def test_truncation_above_the_limit_is_refused_before_allocating(solve, model, N):
+    with pytest.raises(ResourceError) as excinfo:
+        solve(model, N)
+    assert str(excinfo.value) == f"truncation N={N} exceeds the limit of {MAX_TRUNCATION}"
+
+
+def test_truncation_at_the_limit_runs():
+    series = product_ranks(SphereModel("product", (3, 5)), MAX_TRUNCATION)
+    assert len(series.ranks) == MAX_TRUNCATION + 1 and sum(series.ranks) == 2

@@ -66,5 +66,8 @@ def test_dense_reference_has_no_caller(name):
 
 
 def test_ring_layer_speaks_vertex_masks():
-    # the ring scan multiplies representative cocycles keyed by vertex masks, with no class objects
-    assert not names_used(MODULES["cohomology"]) & {"VertexSet", "CohomologyClass"}
+    # every layer, the ring scan included, speaks plain int vertex masks: no
+    # module names a vertex-set wrapper, and the ring has no class objects
+    for name, tree in MODULES.items():
+        assert "VertexSet" not in names_used(tree), name
+    assert "CohomologyClass" not in names_used(MODULES["cohomology"])
