@@ -24,8 +24,6 @@ from .complexes import (
     from_facets,
     full_subcomplex,
     join,
-    rank_relabel,
-    relabel_complex,
     simplex,
 )
 from .errors import (
@@ -47,7 +45,6 @@ from .loops import (
 )
 from .nonfaces import (
     NonfaceFamily,
-    ghost_split,
     minimal_nonfaces,
     reconstruct,
     relabel_family,
@@ -83,7 +80,6 @@ __all__ = [
     "from_facets",
     "full_subcomplex",
     "generate",
-    "ghost_split",
     "growth_certificate",
     "hochster_betti",
     "hochster_table",
@@ -93,9 +89,7 @@ __all__ = [
     "oracle_betti",
     "product_ranks",
     "random_complex",
-    "rank_relabel",
     "reconstruct",
-    "relabel_complex",
     "relabel_family",
     "restrict_family",
     "simplex",

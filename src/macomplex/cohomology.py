@@ -34,7 +34,7 @@ from typing import Iterator
 from . import linalg
 from .complexes import SimplicialComplex, _bits
 from .errors import InputError, ResourceError
-from .nonfaces import _minimal_nonface_masks
+from .nonfaces import _minimal_nonface_masks, _nonfaces_pairwise_intersect
 
 HOCHSTER_MAX_N = 20
 
@@ -398,21 +398,17 @@ def star_product_scan(table: HochsterTable):
 def is_trivial_ring(K: SimplicialComplex) -> tuple[bool, dict]:
     """Whether all products of positive-degree classes of H^*(Z(K)) vanish.
 
-    Fast path: if no two subsets with nonzero reduced cohomology are
-    disjoint, every product is zero by the pairing rule alone.  Otherwise
-    all products are evaluated and the first nonzero one is certified.
+    Fast path: if every two minimal non-faces meet, so do every two
+    supports with nonzero reduced cohomology (each is a union of minimal
+    non-faces, and each minimal non-face is one), and every product is
+    zero by the pairing rule alone.  Otherwise all products are evaluated
+    and the first nonzero one is certified.
     """
     table = hochster_table(K)
-    positive = table.positive_entries()
-    has_disjoint = any(
-        a[0] & b[0] == 0
-        for i, a in enumerate(positive)
-        for b in positive[i:]
-    )
-    if not has_disjoint:
+    if _nonfaces_pairwise_intersect(K):
         return True, {
             "kind": "disjoint_supports_absent",
-            "positive_entries": len(positive),
+            "positive_entries": len(table.positive_entries()),
         }
     certificate, count = star_product_scan(table)
     if certificate is not None:

@@ -42,15 +42,15 @@ def _mask_of(vertices: Iterable[int]) -> int:
     return mask
 
 
-def _check_mask(mask, n: int | None, what: str) -> int:
-    """``mask`` itself if it is a vertex mask inside 1..n (any n if None).
+def _check_mask(mask, n: int, what: str) -> int:
+    """``mask`` itself if it is a vertex mask inside 1..n.
 
     A mask is a non-negative plain ``int``; a ``bool`` or any other type
     raises ``InputError`` rather than being coerced.
     """
     if type(mask) is not int or mask < 0:
         raise InputError(f"{what} {mask!r} is not a vertex mask")
-    if n is not None and mask >> n:
+    if mask >> n:
         raise InputError(f"{what} {list(_bits(mask))} uses a vertex above n={n}")
     return mask
 
@@ -275,21 +275,3 @@ def boundary_simplex(q: int) -> SimplicialComplex:
     _check_vertex_count(q + 1)
     full = (1 << (q + 1)) - 1
     return SimplicialComplex(q + 1, [full ^ (1 << i) for i in range(q + 1)])
-
-
-def relabel_complex(K: SimplicialComplex, mapping: dict) -> SimplicialComplex:
-    """Apply a vertex bijection {1..n} -> {1..n} to all facets."""
-    if sorted(mapping) != list(range(1, K.n + 1)) or sorted(mapping.values()) != list(
-        range(1, K.n + 1)
-    ):
-        raise InputError("mapping must be a bijection of 1..n")
-    return SimplicialComplex(K.n, [[mapping[v] for v in _bits(f)] for f in K.facets])
-
-
-def rank_relabel(subset: int, within: int) -> int:
-    """Relabel the mask ``subset`` (inside ``within``) onto 1..|within| by rank."""
-    _check_mask(subset, None, "subset")
-    _check_mask(within, None, "domain")
-    if subset & ~within:
-        raise InputError("subset is not contained in the relabelling domain")
-    return _compress_mask(subset, within)

@@ -130,6 +130,18 @@ def _minimal_nonface_masks(K: SimplicialComplex) -> list[int]:
     return _minimal_transversals([full & ~f for f in K.facets], full)
 
 
+def _nonfaces_pairwise_intersect(K: SimplicialComplex) -> bool:
+    """Whether every two minimal non-faces of ``K`` share a vertex.
+
+    A ghost vertex v (in no facet) is the one-element non-face {v}, which
+    misses every other minimal non-face.
+    """
+    members = _minimal_nonface_masks(K)
+    index = _MembershipIndex(members)
+    everyone = (1 << len(members)) - 1
+    return all(index.meeting(m) == everyone for m in members)
+
+
 def minimal_nonfaces(K: SimplicialComplex) -> NonfaceFamily:
     """All inclusion-minimal non-faces of ``K``.
 
@@ -170,14 +182,3 @@ def relabel_family(M: NonfaceFamily, I: int) -> NonfaceFamily:
         if m & ~I:
             raise InputError(f"member {list(_bits(m))} is not contained in I")
     return NonfaceFamily(I.bit_count(), [_compress_mask(m, I) for m in M.members])
-
-
-def ghost_split(M: NonfaceFamily) -> tuple[SimplicialComplex, int]:
-    """Split off the vertices in no member as a cone (simplex) factor.
-
-    Returns the reduced complex on the support (relabelled onto 1..n') and
-    the number of cone vertices M.n - n'; the original complex is the join
-    of the two up to relabelling.
-    """
-    nu = support(M)
-    return reconstruct(relabel_family(M, nu)), M.n - nu.bit_count()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
 from macomplex import NonfaceFamily, SimplicialComplex, star_product
 
@@ -78,6 +79,17 @@ def brute_reconstruct_facets(members, n: int) -> set[frozenset]:
 
 def facet_sets(K: SimplicialComplex) -> set[frozenset]:
     return {frozenset(vertices_of(f)) for f in K.facets}
+
+
+def relabel_facets(K: SimplicialComplex, mapping: dict) -> set[frozenset]:
+    """The facets of ``K`` with each vertex v renamed ``mapping[v]``."""
+    return {frozenset(mapping[v] for v in facet) for facet in facet_sets(K)}
+
+
+def rank_within(mask: int, within: int) -> int:
+    """The mask of ``mask``'s vertices renamed by their rank in ``within``."""
+    order = vertices_of(within)
+    return mask_of(order.index(v) + 1 for v in vertices_of(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -277,28 +289,21 @@ def poly_mul(a, b, N: int):
     return out
 
 
-def geometric_series(k: int, N: int):
-    """Coefficients of 1 / (1 - t^k) through degree N."""
-    return [1 if i % k == 0 else 0 for i in range(N + 1)]
-
-
 def expand_rank_product(ranks, N: int):
-    """Expand prod_{k even}(1-t^k)^(-l_k) prod_{k odd}(1+t^k)^(l_k) naively.
+    """Expand prod_{k even}(1-t^k)^(-l_k) prod_{k odd}(1+t^k)^(l_k) directly.
 
-    Each factor is multiplied in one at a time (geometric series for even
-    degrees, (1 + t^k) for odd), so this shares no code with the solver.
+    Each factor is written out by the binomial theorem, C(l, j) or
+    C(l + j - 1, j) at t^(jk), and multiplied in by a schoolbook product,
+    so this shares no code with the solver, which works on the logarithm.
     """
     series = [1] + [0] * N
     for k in range(1, N + 1):
         l_k = ranks[k] if k < len(ranks) else 0
-        for _ in range(l_k):
-            if k % 2 == 0:
-                series = poly_mul(series, geometric_series(k, N), N)
-            else:
-                factor = [0] * (N + 1)
-                factor[0] = 1
-                factor[k] = 1
-                series = poly_mul(series, factor, N)
+        if l_k:
+            factor = [0] * (N + 1)
+            for j in range(N // k + 1):
+                factor[j * k] = comb(l_k, j) if k % 2 else comb(l_k + j - 1, j)
+            series = poly_mul(series, factor, N)
     return series
 
 
@@ -306,7 +311,8 @@ def loop_space_series(sphere_dims, N: int):
     """Coefficients of 1 / (1 - sum_i t^(d_i - 1)) via power summation."""
     s = [0] * (N + 1)
     for d in sphere_dims:
-        s[d - 1] += 1
+        if d - 1 <= N:
+            s[d - 1] += 1
     series = [0] * (N + 1)
     power = [1] + [0] * N
     for _ in range(N + 1):

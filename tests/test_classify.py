@@ -17,13 +17,19 @@ from macomplex import (
     hochster_betti,
     hochster_table,
     minimal_nonfaces,
-    rank_relabel,
     random_complex,
     reconstruct,
     restrict_family,
     simplex,
 )
-from oracles import convolve, random_family, random_intersecting_family, mask_of, vertices_of
+from oracles import (
+    convolve,
+    mask_of,
+    random_family,
+    random_intersecting_family,
+    rank_within,
+    vertices_of,
+)
 
 
 def has_meeting_pair(M: NonfaceFamily) -> bool:
@@ -216,7 +222,7 @@ def test_witness_summands_appear_verbatim():
         for (mask, j), dim in table.entries.items():
             if mask & ~I:
                 continue
-            relabeled = rank_relabel(mask, I)
+            relabeled = rank_within(mask, I)
             assert sub_table.entries.get((relabeled, j), 0) == dim
 
 

@@ -255,6 +255,30 @@ RING_GOLDEN = {
 }
 """,
     ),
+    "point_beside_simplex": (  # minimal non-faces {1, v}, v = 2..6, all meeting at 1
+        '{"n":6,"facets":[[1],[2,3,4,5,6]]}',
+        """\
+{
+  "certificate": {
+    "kind": "disjoint_supports_absent",
+    "positive_entries": 31
+  },
+  "trivial": true
+}
+""",
+    ),
+    "ghost_beside_edge": (  # vertex 3 in no facet: the one minimal non-face {3}
+        '{"n":3,"facets":[[1,2]]}',
+        """\
+{
+  "certificate": {
+    "kind": "disjoint_supports_absent",
+    "positive_entries": 1
+  },
+  "trivial": true
+}
+""",
+    ),
     "random_7_seed_5": (  # generate.random_complex(7, seed=5)
         '{"n":7,"facets":[[3,5,6],[1,2,6,7],[1,2,4,5,7]]}',
         """\
@@ -285,13 +309,16 @@ REPORT_DIGESTS = [
     ("ring", "cycle", 12, "5fe88a415f28653eac1aefba6f3613053dd7c9740b549adb2f1ed66addf36218"),
     ("ring", "cross_polytope", 5, "d52d7b0d7caf6f7644364717abaa5111f37a6ae2f691270811d22da6c639625b"),
     ("loop-ranks", "cycle", 11, "5b8750d6d8c9b5f3965b07d75a052c2db99a998ee751497bf37d8d71633585c5"),
+    # captured while the ranks were solved by multiplying out one series per degree
+    ("loop-ranks --truncation 1000", "cycle", 5,
+     "b0350e9e1ea3bab2de793b196b253b2c1ad6f83c840a888a6aa09fd36ea2d497"),
 ]
 
 
 @pytest.mark.parametrize("command, family, size, digest", REPORT_DIGESTS)
 def test_report_digests_are_unchanged(capsys, command, family, size, digest):
     _, generated = run_cli(capsys, ["generate", "--family", family, "--size", str(size)])
-    code, out = run_cli(capsys, [command, "--input", generated])
+    code, out = run_cli(capsys, [*command.split(), "--input", generated])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

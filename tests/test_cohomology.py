@@ -33,8 +33,7 @@ from macomplex.linalg import (
     rank_sparse,
     solve_columns,
 )
-from macomplex.loops import _nonfaces_pairwise_intersect
-from macomplex.nonfaces import _minimal_nonface_masks
+from macomplex.nonfaces import _minimal_nonface_masks, _nonfaces_pairwise_intersect
 from oracles import (
     bounded_complex,
     brute_minimal_nonfaces,
@@ -314,6 +313,17 @@ def test_ghost_vertices_are_one_element_nonfaces(K):
     assert _minimal_nonface_masks(K) == sorted(mask_of(m) for m in oracle)
     meeting = all(a & b for a, b in combinations(oracle, 2))
     assert _nonfaces_pairwise_intersect(K) == meeting
+
+
+@given(nondegenerate_complexes(max_n=8))
+@example(from_facets(6, [[1], [2, 3, 4, 5, 6]]))  # the star {1, v}: 31 supports, all meeting
+@example(from_facets(4, [[1, 2], [3, 4]]))  # two disjoint edges
+def test_nonface_test_matches_the_pair_scan_of_the_table(K):
+    # every two positive supports of the table meet exactly when every two
+    # minimal non-faces do, ghost vertices counting as the non-face {v}
+    positive = hochster_table(K).positive_entries()
+    pairs_meet = all(a[0] & b[0] for i, a in enumerate(positive) for b in positive[i:])
+    assert _nonfaces_pairwise_intersect(K) == pairs_meet
 
 
 def check_rank_shortcuts(cx):

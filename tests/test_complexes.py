@@ -10,8 +10,6 @@ from macomplex import (
     from_facets,
     full_subcomplex,
     join,
-    rank_relabel,
-    relabel_complex,
     relabel_family,
     restrict_family,
     simplex,
@@ -60,8 +58,6 @@ MASK_TAKERS = {
     "full_subcomplex": lambda m: full_subcomplex(C4, m),
     "restrict_family": lambda m: restrict_family(M4, m),
     "relabel_family": lambda m: relabel_family(M4, m),
-    "rank_relabel-subset": lambda m: rank_relabel(m, (1 << N) - 1),
-    "rank_relabel-within": lambda m: rank_relabel((1 << N) - 1, m),
 }
 
 
@@ -258,21 +254,6 @@ def test_from_json_dict_never_coerces(n, facets):
         return
     assert K.n == n
     assert facet_sets(K) == facet_sets(from_facets(n, facets))
-
-
-def test_relabel_complex(c4):
-    # swapping 2 and 3 turns the cycle 1-2-3-4 into the cycle 1-3-2-4
-    swapped = relabel_complex(c4, {1: 1, 2: 3, 3: 2, 4: 4})
-    assert swapped == from_facets(4, [[1, 3], [2, 3], [2, 4], [1, 4]])
-    assert relabel_complex(c4, {1: 2, 2: 1, 3: 4, 4: 3}) == c4  # an automorphism
-    with pytest.raises(InputError):
-        relabel_complex(c4, {1: 1, 2: 2, 3: 3, 4: 5})
-
-
-def test_rank_relabel():
-    assert rank_relabel(0b10100, 0b10101) == 0b110
-    with pytest.raises(InputError):
-        rank_relabel(0b10, 0b101)
 
 
 def brute_maximal_masks(masks):

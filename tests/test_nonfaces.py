@@ -13,11 +13,9 @@ from macomplex import (
     cycle,
     from_facets,
     full_subcomplex,
-    ghost_split,
     join,
     minimal_nonfaces,
     reconstruct,
-    relabel_complex,
     relabel_family,
     restrict_family,
     simplex,
@@ -30,6 +28,7 @@ from oracles import (
     enumerate_complexes,
     facet_sets,
     random_family,
+    relabel_facets,
     vertices_of,
 )
 
@@ -223,32 +222,6 @@ def test_support():
     assert support(NonfaceFamily(3, [[1, 2], [2, 3]])) == 0b111
 
 
-def test_ghost_split_examples(c4):
-    reduced, cone = ghost_split(NonfaceFamily(3, [[1, 2]]))
-    assert cone == 1
-    assert reduced == from_facets(2, [[1], [2]])
-
-    reduced, cone = ghost_split(NonfaceFamily(2, []))
-    assert cone == 2 and reduced == SimplicialComplex(0, [])
-
-    reduced, cone = ghost_split(NonfaceFamily(4, [[1, 3], [2, 4]]))
-    assert cone == 0 and reduced == c4
-
-
-def test_ghost_split_join_equality():
-    rng = random.Random(45)
-    for _ in range(60):
-        n = rng.randint(2, 8)
-        sub = rng.randint(2, n)
-        M = NonfaceFamily(n, [vertices_of(m) for m in random_family(rng, sub)])
-        reduced, cone = ghost_split(M)
-        joined = join(reduced, simplex(cone - 1)) if cone else reduced
-        nu = vertices_of(support(M))
-        rest = sorted(set(range(1, n + 1)) - set(nu))
-        mapping = {i + 1: v for i, v in enumerate(nu + rest)}
-        assert relabel_complex(joined, mapping) == reconstruct(M)
-
-
 def test_disjoint_members_give_join_of_boundaries():
     # pairwise disjoint non-faces: the complex is a join of simplex boundaries
     rng = random.Random(47)
@@ -273,7 +246,7 @@ def test_disjoint_members_give_join_of_boundaries():
         nu = vertices_of(support(M))
         mapping = {i + 1: nu.index(v) + 1 for i, v in enumerate(order)}
         expected = reconstruct(relabel_family(M, support(M)))
-        assert relabel_complex(joined, mapping) == expected
+        assert relabel_facets(joined, mapping) == facet_sets(expected)
 
 
 def test_restrict_family_examples(c5):
