@@ -21,7 +21,6 @@ from .cohomology import (
 from .complexes import (
     SimplicialComplex,
     boundary_simplex,
-    from_facets,
     full_subcomplex,
     join,
     simplex,
@@ -36,7 +35,6 @@ from .errors import (
 from .generate import cross_polytope, cycle, generate, random_complex
 from .loops import (
     GrowthCertificate,
-    HomotopyRankSeries,
     SphereModel,
     free_lie_ranks,
     growth_certificate,
@@ -59,7 +57,6 @@ __all__ = [
     "GhostVertexError",
     "GrowthCertificate",
     "HochsterTable",
-    "HomotopyRankSeries",
     "InputError",
     "MacError",
     "MomentAngleCellComplex",
@@ -77,7 +74,6 @@ __all__ = [
     "elliptic_model",
     "find_witness",
     "free_lie_ranks",
-    "from_facets",
     "full_subcomplex",
     "generate",
     "growth_certificate",

@@ -65,15 +65,15 @@ def _report_loop_ranks(K, args):
     verdict = classify(K)
     if verdict.is_elliptic:
         model = SphereModel(kind="product", dims=verdict.sphere_dims)
-        series = product_ranks(model, N=args.truncation)
+        ranks = product_ranks(model, N=args.truncation)
     else:
         witness = full_subcomplex(K, verdict.witness_mask)
         model = wedge_model(witness)
-        series = free_lie_ranks(model, N=args.truncation)
-    growth = growth_certificate(series)
+        ranks = free_lie_ranks(model, N=args.truncation)
+    growth = growth_certificate(model, ranks)
     return {
         "model": model.to_json_dict(),
-        "ranks": list(series.ranks[1:]),
+        "ranks": list(ranks[1:]),
         **growth.to_json_dict(),
     }
 

@@ -158,22 +158,6 @@ def _maximal_masks(masks: Iterable[int]) -> list[int]:
     return kept or [0]
 
 
-def _parse_json(data, what: str, key: str) -> tuple[int, list[int]]:
-    """``data["n"]`` and the masks of the vertex lists under ``data[key]``.
-
-    Numbers must be plain JSON integers.  ``_mask_of`` and the constructors
-    reject booleans, floats and numeric strings rather than coerce them, so
-    a malformed input never silently becomes some other complex.
-    """
-    shape = f"{what} JSON must be {{'n': int, '{key}': [[int,...],...]}}"
-    if not isinstance(data, dict) or "n" not in data or key not in data:
-        raise InputError(shape)
-    lists = data[key]
-    if not isinstance(lists, list) or not all(isinstance(vs, list) for vs in lists):
-        raise InputError(f"{shape}: '{key}' must be a list of vertex lists")
-    return data["n"], [_mask_of(vs) for vs in lists]
-
-
 class SimplicialComplex:
     """Simplicial complex on vertices 1..n, stored by facets in canonical order.
 
@@ -215,7 +199,18 @@ class SimplicialComplex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimplicialComplex":
-        return cls(*_parse_json(data, "complex", "facets"))
+        """The complex of ``{"n": int, "facets": [[int, ...], ...]}``.
+
+        ``_mask_of`` and the constructor reject booleans, floats and numeric
+        strings, so a malformed input never silently becomes another complex.
+        """
+        shape = "complex JSON must be {'n': int, 'facets': [[int,...],...]}"
+        if not isinstance(data, dict) or "n" not in data or "facets" not in data:
+            raise InputError(shape)
+        lists = data["facets"]
+        if not isinstance(lists, list) or not all(isinstance(vs, list) for vs in lists):
+            raise InputError(f"{shape}: 'facets' must be a list of vertex lists")
+        return cls(data["n"], [_mask_of(vs) for vs in lists])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SimplicialComplex):
@@ -227,11 +222,6 @@ class SimplicialComplex:
 
     def __repr__(self) -> str:
         return f"SimplicialComplex(n={self.n}, facets={[list(_bits(f)) for f in self.facets]})"
-
-
-def from_facets(n: int, facets: Iterable) -> SimplicialComplex:
-    """Build a complex from a (possibly redundant) facet list."""
-    return SimplicialComplex(n, facets)
 
 
 def join(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:

@@ -8,7 +8,6 @@ from .complexes import (
     SimplicialComplex,
     _check_vertex_count,
     boundary_simplex,
-    from_facets,
     join,
     simplex,
 )
@@ -24,7 +23,7 @@ def cycle(m: int) -> SimplicialComplex:
         raise InputError(f"a cycle needs at least 3 vertices, got {m}")
     _check_vertex_count(m)
     facets = [[i, i + 1] for i in range(1, m)] + [[m, 1]]
-    return from_facets(m, facets)
+    return SimplicialComplex(m, facets)
 
 
 def cross_polytope(k: int) -> SimplicialComplex:
@@ -58,7 +57,7 @@ def random_complex(n: int, seed: int = 0) -> SimplicialComplex:
     for v in range(1, n + 1):
         if v not in covered:
             facets.append([v])
-    return from_facets(n, facets)
+    return SimplicialComplex(n, facets)
 
 
 def generate(family: str, size: int, seed: int = 0) -> SimplicialComplex:

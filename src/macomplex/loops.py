@@ -1,4 +1,4 @@
-"""Rational homotopy rank series for sphere products and wedges.
+"""Rational homotopy ranks of sphere products and wedges, as plain tuples.
 
 For a product of odd spheres the rational homotopy is one class per
 sphere.  For a simply-connected wedge of spheres S^{d_1} v ... v S^{d_k}
@@ -40,25 +40,6 @@ class SphereModel(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "dims": list(self.dims)}
-
-
-class HomotopyRankSeries(NamedTuple):
-    """Ranks l_k of pi_{k+1} (x) Q of a sphere model, truncated at N.
-
-    ``ranks[k]`` is l_k for 0 <= k <= N (index 0 unused and zero).
-    """
-
-    ranks: tuple[int, ...]
-    truncation: int
-    model: SphereModel
-
-    def partial_sums(self) -> list[int]:
-        out = [0] * (self.truncation + 1)
-        acc = 0
-        for k in range(self.truncation + 1):
-            acc += self.ranks[k]
-            out[k] = acc
-        return out
 
 
 class GrowthCertificate(NamedTuple):
@@ -114,13 +95,16 @@ def _tensor_series(gen_degrees, N: int) -> list[int]:
     return a
 
 
-def free_lie_ranks(model: SphereModel, N: int = 24) -> HomotopyRankSeries:
-    """Solve the product identity for the ranks of a wedge of spheres.
+def free_lie_ranks(model: SphereModel, N: int = 24) -> tuple[int, ...]:
+    """Ranks of a wedge of spheres: ``ranks[k]`` = l_k for 0 <= k <= N, l_0 = 0.
 
     One pass over the degrees: ``L[n]`` collects sum k l_k e(k, n) over the
     divisors k < n solved so far (a sieve over multiples), so
     l_n = (c_n - L[n]) / n.  As a self-check, A is rebuilt from ``L`` alone
-    by n A_n = sum_{i=1..n} L[i] A_{n-i} and compared with the target.
+    by n A_n = sum_{i=1..n} L[i] A_{n-i} and compared with the target.  It
+    checks c_n and the sieve's bookkeeping but not the sign e(k, n), since
+    l_n makes ``L[n]`` end at c_n whatever the sign; the tests check the
+    sign by multiplying the product identity out.
     """
     if model.kind != "wedge":
         raise InputError("free Lie ranks only apply to wedge models")
@@ -147,12 +131,15 @@ def free_lie_ranks(model: SphereModel, N: int = 24) -> HomotopyRankSeries:
     series = [1] + [0] * N
     for n in range(1, N + 1):
         series[n] = sum(L[i] * series[n - i] for i in range(1, n + 1)) // n
-    assert series == target, "solved ranks do not reproduce the loop-space series"
-    return HomotopyRankSeries(ranks=tuple(ranks), truncation=N, model=model)
+    assert series == target, "sieve sums do not rebuild the loop-space series"
+    return tuple(ranks)
 
 
-def product_ranks(model: SphereModel, N: int = 24) -> HomotopyRankSeries:
-    """Ranks of a product of odd spheres: one class of degree d - 1 per sphere."""
+def product_ranks(model: SphereModel, N: int = 24) -> tuple[int, ...]:
+    """Ranks of a product of odd spheres: ``ranks[k]`` = l_k for 0 <= k <= N.
+
+    Each sphere S^d gives one class, l_{d-1} += 1; l_0 = 0.
+    """
     if model.kind != "product":
         raise InputError("product ranks only apply to product models")
     if any(d % 2 == 0 for d in model.dims):
@@ -163,29 +150,29 @@ def product_ranks(model: SphereModel, N: int = 24) -> HomotopyRankSeries:
     ranks = [0] * (N + 1)
     for d in model.dims:
         ranks[d - 1] += 1
-    return HomotopyRankSeries(ranks=tuple(ranks), truncation=N, model=model)
+    return tuple(ranks)
 
 
-def growth_certificate(series: HomotopyRankSeries) -> GrowthCertificate:
+def growth_certificate(model: SphereModel, ranks: tuple[int, ...]) -> GrowthCertificate:
     """Finite versus exponential growth of the total rational homotopy.
 
-    The split is structural: a product, or a wedge on at most one sphere,
-    has finitely many classes; a wedge on two or more spheres is a free
-    graded Lie algebra on >= 2 generators and grows exponentially.  The
-    ratio estimate (S_N / S_{N/2})^(2/N) over cumulative ranks is reported
-    when it exceeds 1 + GROWTH_DELTA.  It is taken through logarithms,
-    because the quotient can leave float range where its root does not.
+    ``ranks`` are the model's l_0..l_N.  The split is structural: a product,
+    or a wedge on at most one sphere, has finitely many classes; a wedge on
+    two or more spheres is a free graded Lie algebra on >= 2 generators and
+    grows exponentially.  The ratio estimate (S_N / S_{N/2})^(2/N) over
+    cumulative ranks is reported when it exceeds 1 + GROWTH_DELTA.  It is
+    taken through logarithms, because the quotient can leave float range
+    where its root does not.
     """
-    N = series.truncation
+    N = len(ranks) - 1
     if N < 12:
         raise InputError("growth detection needs truncation >= 12")
-    if series.model.kind == "product" or len(series.model.dims) <= 1:
+    if model.kind == "product" or len(model.dims) <= 1:
         return GrowthCertificate(kind="finite", ratio=None)
-    sums = series.partial_sums()
-    half = sums[N // 2]
+    half = sum(ranks[: N // 2 + 1])
     ratio = None
     if half > 0:
-        estimate = exp((log(sums[N]) - log(half)) * 2.0 / N)
+        estimate = exp((log(sum(ranks)) - log(half)) * 2.0 / N)
         if estimate > 1.0 + GROWTH_DELTA:
             ratio = round(estimate, 6)
     return GrowthCertificate(kind="exponential", ratio=ratio)

@@ -22,7 +22,6 @@ from .complexes import (
     _compress_mask,
     _mask_of,
     _MembershipIndex,
-    _parse_json,
 )
 from .errors import GhostVertexError, InputError
 
@@ -54,10 +53,6 @@ class NonfaceFamily:
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "members": [list(_bits(m)) for m in self.members]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "NonfaceFamily":
-        return cls(*_parse_json(data, "non-face", "members"))
 
     def __len__(self) -> int:
         return len(self.members)

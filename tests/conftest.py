@@ -32,9 +32,9 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def c4():
-    from macomplex import from_facets
+    from macomplex import SimplicialComplex
 
-    return from_facets(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
+    return SimplicialComplex(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
 
 
 @pytest.fixture

@@ -9,7 +9,6 @@ from macomplex import (
     boundary_simplex,
     build,
     cross_polytope,
-    from_facets,
     full_subcomplex,
     hochster_betti,
     join,
@@ -151,6 +150,6 @@ def test_chain_dump_shape(c4):
 
 def test_ghost_vertices_contribute_circles():
     # one absent vertex turns Z into (a space) x S^1: degree-1 Betti appears
-    K = from_facets(2, [[1]])
+    K = SimplicialComplex(2, [[1]])
     assert oracle_betti(build(K)) == [1, 1]
     assert hochster_betti(K) == [1, 1]

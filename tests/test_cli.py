@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from macomplex import cli, complexes, cycle, from_facets
+from macomplex import SimplicialComplex, cli, complexes, cycle
 
 families = sys.modules["macomplex.generate"]  # the package exports the function under that name
 
@@ -104,7 +104,7 @@ def test_crosscheck_report(capsys):
 def test_generate_families(capsys):
     code, report = run_json(capsys, ["generate", "--family", "cycle", "--size", "5"])
     assert code == 0
-    assert from_facets(report["n"], report["facets"]) == cycle(5)
+    assert SimplicialComplex(report["n"], report["facets"]) == cycle(5)
 
     code, report = run_json(
         capsys, ["generate", "--family", "cross_polytope", "--size", "3"]
@@ -130,7 +130,7 @@ def test_generate_checks_the_vertex_count_before_building(capsys, monkeypatch, f
         raise AssertionError("facets were built before the vertex count was checked")
 
     for module, name in (
-        (families, "from_facets"),
+        (families, "SimplicialComplex"),
         (families, "join"),
         (complexes, "_mask_of"),
         (complexes, "SimplicialComplex"),

@@ -12,7 +12,6 @@ from macomplex import (
     boundary_simplex,
     cross_polytope,
     cycle,
-    from_facets,
     full_subcomplex,
     hochster_betti,
     hochster_table,
@@ -57,7 +56,7 @@ def test_reduced_cohomology_circle():
 
 
 def test_reduced_cohomology_two_points():
-    assert dims_by_degree(from_facets(2, [[1], [2]])) == {-1: 0, 0: 1}
+    assert dims_by_degree(SimplicialComplex(2, [[1], [2]])) == {-1: 0, 0: 1}
 
 
 def test_reduced_cohomology_c5_witness_subcomplex(c5):
@@ -67,9 +66,9 @@ def test_reduced_cohomology_c5_witness_subcomplex(c5):
 
 
 def test_reduced_cohomology_empty_complex():
-    K = from_facets(0, [])
+    K = SimplicialComplex(0, [])
     assert dims_by_degree(K) == {-1: 1}
-    K1 = from_facets(3, [])  # three absent vertices
+    K1 = SimplicialComplex(3, [])  # three absent vertices
     assert dims_by_degree(K1) == {-1: 1}
 
 
@@ -196,7 +195,7 @@ def test_trivial_ring_fast_and_slow_paths_agree():
 def test_trivial_ring_with_disjoint_supports_can_still_vanish():
     # two disjoint segments have disjoint supports with cohomology, yet the
     # target degree of the only candidate product has no cohomology at all
-    K = from_facets(4, [[1, 2], [3, 4]])
+    K = SimplicialComplex(4, [[1, 2], [3, 4]])
     trivial, certificate = is_trivial_ring(K)
     assert trivial
     assert certificate["kind"] == "all_products_vanish"
@@ -228,7 +227,7 @@ def nondegenerate_complexes(draw, max_n):
     else:
         K = reconstruct(random_family(rng, max(n, 2)))
     ghosts = mask_of(draw(st.lists(st.integers(1, K.n), max_size=2)))
-    return from_facets(K.n, [f & ~ghosts for f in K.facets])
+    return SimplicialComplex(K.n, [f & ~ghosts for f in K.facets])
 
 
 def eliminated_betti(cx, j):
@@ -266,10 +265,10 @@ def union_closure(K):
 
 EDGE_CASES = [
     SimplicialComplex(0, [[]]),  # {{}} without vertices
-    from_facets(3, []),  # {{}} on three ghost vertices: every subset is a union
+    SimplicialComplex(3, []),  # {{}} on three ghost vertices: every subset is a union
     simplex(0),  # one vertex
-    from_facets(1, []),  # one ghost vertex
-    from_facets(5, [[1, 2], [2, 3]]),  # a path with ghost vertices 4 and 5
+    SimplicialComplex(1, []),  # one ghost vertex
+    SimplicialComplex(5, [[1, 2], [2, 3]]),  # a path with ghost vertices 4 and 5
     cycle(7),
     simplex(4),
 ]
@@ -285,7 +284,7 @@ def test_pruned_table_edge_cases(K):
 
 
 def test_visited_subset_counts():
-    assert list(_unions_of_minimal_nonfaces(from_facets(4, []))) == list(range(16))
+    assert list(_unions_of_minimal_nonfaces(SimplicialComplex(4, []))) == list(range(16))
     assert list(_unions_of_minimal_nonfaces(simplex(5))) == [0]
     assert len(list(_unions_of_minimal_nonfaces(cross_polytope(6)))) == 64
     assert len(list(_unions_of_minimal_nonfaces(cycle(14)))) == 16342
@@ -316,8 +315,8 @@ def test_ghost_vertices_are_one_element_nonfaces(K):
 
 
 @given(nondegenerate_complexes(max_n=8))
-@example(from_facets(6, [[1], [2, 3, 4, 5, 6]]))  # the star {1, v}: 31 supports, all meeting
-@example(from_facets(4, [[1, 2], [3, 4]]))  # two disjoint edges
+@example(SimplicialComplex(6, [[1], [2, 3, 4, 5, 6]]))  # the star {1, v}: 31 supports, all meeting
+@example(SimplicialComplex(4, [[1, 2], [3, 4]]))  # two disjoint edges
 def test_nonface_test_matches_the_pair_scan_of_the_table(K):
     # every two positive supports of the table meet exactly when every two
     # minimal non-faces do, ghost vertices counting as the non-face {v}
@@ -348,7 +347,7 @@ def test_rank_shortcuts_match_elimination(K, seed):
 
 def test_spanning_forest_counts_only_the_vertices_of_the_subcomplex():
     # the path 1-2-3 with ghost vertices 4 and 5: d_0 has rank 3 - 1, not 5 - 1
-    path = CochainComplexQ(from_facets(5, [[1, 2], [2, 3]]).face_masks())
+    path = CochainComplexQ(SimplicialComplex(5, [[1, 2], [2, 3]]).face_masks())
     assert path._rank(0) == 2
     assert path.restrict(0b11101)._rank(0) == 0  # vertices 1 and 3, no edge
     assert path.restrict(0b00110)._rank(0) == 1  # the edge {2, 3}
@@ -630,7 +629,7 @@ def euler_characteristic(betti):
 
 
 def test_euler_characteristic_examples():
-    for K in [cycle(9), cross_polytope(5), from_facets(3, []), SimplicialComplex(0, [[]])]:
+    for K in [cycle(9), cross_polytope(5), SimplicialComplex(3, []), SimplicialComplex(0, [[]])]:
         expected = 1 if K.n == 0 else 0
         assert euler_characteristic(hochster_betti(K)) == expected
     for q in range(6):

@@ -7,7 +7,6 @@ from macomplex import (
     NonfaceFamily,
     SimplicialComplex,
     boundary_simplex,
-    from_facets,
     full_subcomplex,
     join,
     relabel_family,
@@ -24,9 +23,9 @@ def test_vertexset_range_validation():
     with pytest.raises(InputError):
         _mask_of([64])
     with pytest.raises(InputError):
-        from_facets(3, [[0]])
+        SimplicialComplex(3, [[0]])
     with pytest.raises(InputError):
-        from_facets(63, [[64]])
+        SimplicialComplex(63, [[64]])
 
 
 # int() would coerce each to valid vertices: {2}, {1}, {1}, {1, 3}.
@@ -35,13 +34,13 @@ def test_vertex_lists_reject_non_integers(vertices):
     with pytest.raises(InputError):
         _mask_of(vertices)
     with pytest.raises(InputError):
-        from_facets(3, [vertices])
+        SimplicialComplex(3, [vertices])
 
 
 def test_facets_and_non_faces_are_masks_or_vertex_lists():
-    K = from_facets(4, [0b0011, [2, 3], 0b1100, [1, 4]])
+    K = SimplicialComplex(4, [0b0011, [2, 3], 0b1100, [1, 4]])
     assert K.facets == (0b0011, 0b0110, 0b1001, 0b1100)
-    assert K == from_facets(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
+    assert K == SimplicialComplex(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
     M = NonfaceFamily(4, [0b0101, [2, 4]])
     assert M.members == (0b0101, 0b1010)
     assert M == NonfaceFamily(4, [[1, 3], [2, 4]])
@@ -75,12 +74,12 @@ def test_vertex_count_is_an_integer_in_range(n):
 
 
 def test_from_facets_removes_duplicates():
-    K = from_facets(3, [[1, 2], [2, 3], [1, 2]])
+    K = SimplicialComplex(3, [[1, 2], [2, 3], [1, 2]])
     assert facet_sets(K) == {frozenset({1, 2}), frozenset({2, 3})}
 
 
 def test_from_facets_reduces_containments():
-    K = from_facets(2, [[1], [1, 2]])
+    K = SimplicialComplex(2, [[1], [1, 2]])
     assert facet_sets(K) == {frozenset({1, 2})}
 
 
@@ -95,12 +94,12 @@ def test_from_facets_c4_faces_match_definition(c4):
 
 def test_from_facets_vertex_out_of_range():
     with pytest.raises(InputError):
-        from_facets(3, [[1, 4]])
+        SimplicialComplex(3, [[1, 4]])
 
 
 def test_canonical_order_and_equality():
-    K1 = from_facets(4, [[3, 4], [1, 2], [2, 3], [1, 4]])
-    K2 = from_facets(4, [[1, 4], [2, 3], [1, 2], [3, 4]])
+    K1 = SimplicialComplex(4, [[3, 4], [1, 2], [2, 3], [1, 4]])
+    K2 = SimplicialComplex(4, [[1, 4], [2, 3], [1, 2], [3, 4]])
     assert K1 == K2
     assert hash(K1) == hash(K2)
     masks = list(K1.facets)
@@ -108,7 +107,7 @@ def test_canonical_order_and_equality():
 
 
 def test_empty_complex_has_empty_face():
-    K = from_facets(2, [])
+    K = SimplicialComplex(2, [])
     assert facet_sets(K) == {frozenset()}
     assert K.is_face(0)
     assert not K.is_face(0b1)
@@ -130,14 +129,14 @@ def test_is_face_matches_bruteforce(sigma_mask, seed):
         sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
         for _ in range(rng.randint(1, 6))
     ]
-    K = from_facets(n, facets)
+    K = SimplicialComplex(n, facets)
     sigma = sigma_mask & ((1 << n) - 1)
     assert K.is_face(sigma) == brute_is_face(K, vertices_of(sigma))
 
 
 def test_join_of_point_pairs_is_four_cycle():
     K = join(boundary_simplex(1), boundary_simplex(1))
-    assert K == from_facets(4, [[1, 3], [1, 4], [2, 3], [2, 4]])
+    assert K == SimplicialComplex(4, [[1, 3], [1, 4], [2, 3], [2, 4]])
 
 
 def test_join_identity_and_simplices(c4):
@@ -153,13 +152,13 @@ def test_join_facet_count_is_product(c4):
 
 
 def test_join_associative_up_to_nothing():
-    a, b, c = simplex(0), boundary_simplex(1), from_facets(2, [[1], [2]])
+    a, b, c = simplex(0), boundary_simplex(1), SimplicialComplex(2, [[1], [2]])
     assert join(join(a, b), c) == join(a, join(b, c))
 
 
 def test_full_subcomplex_examples(c4):
     K = full_subcomplex(c4, 0b101)
-    assert K == from_facets(2, [[1], [2]])
+    assert K == SimplicialComplex(2, [[1], [2]])
     assert full_subcomplex(c4, 0) == SimplicialComplex(0, [])
     assert full_subcomplex(c4, 0b1111) == c4
 
@@ -183,7 +182,7 @@ def test_full_subcomplex_nesting_property(I_mask, inner_bits, seed):
         sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
         for _ in range(rng.randint(1, 5))
     ]
-    K = from_facets(n, facets)
+    K = SimplicialComplex(n, facets)
     I = I_mask & ((1 << n) - 1)
     inner = inner_bits & ((1 << I.bit_count()) - 1)
     lhs = full_subcomplex(full_subcomplex(K, I), inner)
@@ -253,7 +252,7 @@ def test_from_json_dict_never_coerces(n, facets):
     except InputError:  # a vertex or n out of range
         return
     assert K.n == n
-    assert facet_sets(K) == facet_sets(from_facets(n, facets))
+    assert facet_sets(K) == facet_sets(SimplicialComplex(n, facets))
 
 
 def brute_maximal_masks(masks):

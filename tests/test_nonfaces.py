@@ -11,7 +11,6 @@ from macomplex import (
     SimplicialComplex,
     boundary_simplex,
     cycle,
-    from_facets,
     full_subcomplex,
     join,
     minimal_nonfaces,
@@ -72,9 +71,8 @@ def test_family_vertex_count_is_an_integer_in_range(n):
 
 def test_family_json_round_trip():
     M = NonfaceFamily(4, [[2, 4], [1, 3]])
-    assert NonfaceFamily.from_json_dict(M.to_json_dict()) == M
-    with pytest.raises(InputError):
-        NonfaceFamily.from_json_dict({"n": 4})
+    data = M.to_json_dict()
+    assert NonfaceFamily(data["n"], data["members"]) == M
 
 
 # Each would be a valid family if n = True, n = 3.9, the vertex 2.7 or the
@@ -92,7 +90,7 @@ def test_family_json_round_trip():
 )
 def test_family_json_rejects_non_integers(data):
     with pytest.raises(InputError):
-        NonfaceFamily.from_json_dict(data)
+        NonfaceFamily(data["n"], data["members"])
 
 
 def test_minimal_nonfaces_examples(c4):
@@ -115,7 +113,7 @@ def test_minimal_nonfaces_matches_bruteforce():
             sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
             for _ in range(rng.randint(1, 6))
         ] + [[v] for v in range(1, n + 1)]
-        K = from_facets(n, facets)
+        K = SimplicialComplex(n, facets)
         assert members_as_sets(minimal_nonfaces(K)) == brute_minimal_nonfaces(K)
 
 
@@ -157,7 +155,7 @@ def test_long_cycle_nonfaces_are_the_non_edges(m):
 
 def test_ghost_vertex_error():
     with pytest.raises(GhostVertexError) as excinfo:
-        minimal_nonfaces(from_facets(3, [[1, 2]]))
+        minimal_nonfaces(SimplicialComplex(3, [[1, 2]]))
     assert excinfo.value.vertex == 3
     with pytest.raises(GhostVertexError):
         minimal_nonfaces(SimplicialComplex(2, [[]]))
@@ -212,7 +210,7 @@ def test_round_trip_property(n, raw_facets):
     facets = [[v for v in f if v <= n] for f in raw_facets]
     facets = [f for f in facets if f]
     facets += [[v] for v in range(1, n + 1)]  # keep every singleton a face
-    K = from_facets(n, facets)
+    K = SimplicialComplex(n, facets)
     assert reconstruct(minimal_nonfaces(K)) == K
 
 

@@ -4,9 +4,11 @@ The two Betti engines share nothing above the rank layer: the cellular
 engine (``cells``) uses only the complex, error and linear-algebra modules,
 and nothing but the front doors uses it.  The dense Fraction routines of
 ``linalg`` are the tests' reference and have no caller in the package.
+``__all__`` names exactly the public API, and the README's quick start runs.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -71,3 +73,31 @@ def test_ring_layer_speaks_vertex_masks():
     for name, tree in MODULES.items():
         assert "VertexSet" not in names_used(tree), name
     assert "CohomologyClass" not in names_used(MODULES["cohomology"])
+
+
+def test_all_lists_the_public_api():
+    # every public name the package binds, other than its modules, is
+    # exported, and nothing else: a deleted name cannot linger in __all__
+    public = {
+        name
+        for name, value in vars(macomplex).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(macomplex.__all__) == public
+
+
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    values = {}
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "README.md", "eval")
+            values[ast.unparse(node.value)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    assert values["mac.hochster_betti(c5)"] == [1, 0, 0, 5, 5, 0, 0, 1]
+    assert namespace["model"].dims == (3, 3, 4)
+    assert values["mac.growth_certificate(model, series)"].kind == "exponential"
