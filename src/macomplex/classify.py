@@ -16,6 +16,9 @@ from .complexes import SimplicialComplex, _bits, _MembershipIndex
 from .errors import NotApplicableError
 from .nonfaces import (
     NonfaceFamily,
+    _facet_skeleton,
+    _non_edges,
+    _reject_ghosts,
     minimal_nonfaces,
     restrict_family,
     support,
@@ -108,12 +111,23 @@ def classify(K: SimplicialComplex) -> RationalTypeVerdict:
     """Decide rational ellipticity of Z(K; (D^2, S^1)).
 
     Purely combinatorial: elliptic iff the minimal non-faces are pairwise
-    disjoint.
+    disjoint.  The witness is looked for in the 1-skeleton first.  Two
+    minimal non-faces with a union of three vertices are two non-edges
+    sharing a vertex, since an antichain holds no non-edge inside a
+    three-element non-face, and no union is smaller.  So when two non-edges
+    meet, ``find_witness`` over the non-edges gives the least pair and the
+    family of the enumeration; otherwise all minimal non-faces are listed.
     """
-    M = minimal_nonfaces(K)
+    _reject_ghosts(K)
+    _, _, adjacent = _facet_skeleton(K)
     try:
-        dims, disk = elliptic_model(M)
+        witness, family = find_witness(NonfaceFamily(K.n, _non_edges(adjacent)))
     except NotApplicableError:
-        witness, family = find_witness(M)
-        return RationalTypeVerdict("hyperbolic", witness_mask=witness, witness_family=family)
-    return RationalTypeVerdict("elliptic", sphere_dims=dims, disk_dim=disk)
+        M = minimal_nonfaces(K)
+        try:
+            dims, disk = elliptic_model(M)
+        except NotApplicableError:
+            witness, family = find_witness(M)
+        else:
+            return RationalTypeVerdict("elliptic", sphere_dims=dims, disk_dim=disk)
+    return RationalTypeVerdict("hyperbolic", witness_mask=witness, witness_family=family)

@@ -209,11 +209,18 @@ class CochainComplexQ:
 
 
 class HochsterTable:
-    """Additive decomposition of H^*(Z(K); Q) indexed by (I mask, degree)."""
+    """Additive decomposition of H^*(Z(K); Q) indexed by (I mask, degree).
 
-    def __init__(self, whole: CochainComplexQ, entries: dict, betti: list[int]):
+    ``nonfaces`` keeps the masks of K's minimal non-faces, ghost singletons
+    included, that chose the visited subsets.
+    """
+
+    def __init__(
+        self, whole: CochainComplexQ, entries: dict, betti: list[int], nonfaces: list[int]
+    ):
         self.entries = entries
         self.betti = betti
+        self.nonfaces = nonfaces
         self._whole = whole
         self._cochains: dict[int, CochainComplexQ] = {}
 
@@ -235,11 +242,12 @@ class HochsterTable:
         return {"entries": entries, "betti": list(self.betti)}
 
 
-def _unions_of_minimal_nonfaces(K: SimplicialComplex) -> Iterator[int]:
-    """Masks of the subsets of 1..n that are unions of minimal non-faces, ascending.
+def _unions_of_minimal_nonfaces(n: int, nonfaces: list[int]) -> Iterator[int]:
+    """Masks of the subsets of 1..n that are unions of the masks ``nonfaces``, ascending.
 
-    A vertex in no facet counts as the one-element non-face {v}, and the
-    empty set, the empty union, comes first.  The test runs on truth tables
+    ``nonfaces`` are the minimal non-faces of a complex on 1..n, where a
+    vertex in no facet counts as the one-element non-face {v}; the empty
+    set, the empty union, comes first.  The test runs on truth tables
     over all 2^n subsets at once, bit I of an integer standing for subset I:
     ``inside[v]`` holds where v lies in I and ``covered[v]`` where some
     minimal non-face containing v lies in I.  A subset is a union exactly
@@ -247,7 +255,6 @@ def _unions_of_minimal_nonfaces(K: SimplicialComplex) -> Iterator[int]:
     big-integer operations per vertex of each non-face rather than a test
     per subset.
     """
-    n = K.n
     every = (1 << (1 << n)) - 1
     inside = []
     for v in range(n):
@@ -259,7 +266,7 @@ def _unions_of_minimal_nonfaces(K: SimplicialComplex) -> Iterator[int]:
             period *= 2
         inside.append(table)
     covered = [0] * n
-    for m in _minimal_nonface_masks(K):
+    for m in nonfaces:
         within = every
         for v in _bits(m):
             within &= inside[v - 1]
@@ -287,10 +294,11 @@ def hochster_table(K: SimplicialComplex) -> HochsterTable:
             "table finds the unions of minimal non-faces on truth tables of "
             f"2^{K.n} bits; limit is n <= {HOCHSTER_MAX_N}"
         )
+    nonfaces = _minimal_nonface_masks(K)
     whole = CochainComplexQ(K.face_masks())
     entries: dict[tuple[int, int], int] = {}
     betti_acc: dict[int, int] = {}
-    for I in _unions_of_minimal_nonfaces(K):
+    for I in _unions_of_minimal_nonfaces(K.n, nonfaces):
         cx = whole.restrict(I)
         size = I.bit_count()
         for j in cx.degrees():
@@ -301,7 +309,7 @@ def hochster_table(K: SimplicialComplex) -> HochsterTable:
                 betti_acc[deg] = betti_acc.get(deg, 0) + dim
     top = max(betti_acc)
     betti = [betti_acc.get(d, 0) for d in range(top + 1)]
-    return HochsterTable(whole, entries, betti)
+    return HochsterTable(whole, entries, betti, nonfaces)
 
 
 def hochster_betti(K: SimplicialComplex) -> list[int]:
@@ -405,7 +413,7 @@ def is_trivial_ring(K: SimplicialComplex) -> tuple[bool, dict]:
     and the first nonzero one is certified.
     """
     table = hochster_table(K)
-    if _nonfaces_pairwise_intersect(K):
+    if _nonfaces_pairwise_intersect(table.nonfaces):
         return True, {
             "kind": "disjoint_supports_absent",
             "positive_entries": len(table.positive_entries()),

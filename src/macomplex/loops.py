@@ -26,10 +26,11 @@ from typing import NamedTuple
 from .cohomology import hochster_betti, is_trivial_ring
 from .complexes import SimplicialComplex
 from .errors import InputError, NotApplicableError, ResourceError
-from .nonfaces import _nonfaces_pairwise_intersect
+from .nonfaces import _minimal_nonface_masks, _nonfaces_pairwise_intersect
 
 GROWTH_DELTA = 0.05  # a growth ratio is reported only above 1 + GROWTH_DELTA
 MAX_TRUNCATION = 1000  # solver time grows about as N^3: 0.15 s at N = 1000, 1.2 s at 2000
+PRODUCT_CHECK_DEGREE = 32  # free_lie_ranks multiplies its product identity out this far
 
 
 class SphereModel(NamedTuple):
@@ -61,7 +62,7 @@ def wedge_model(K_I: SimplicialComplex) -> SphereModel:
     J. Algebra 479, 2017).  The condition is sufficient, not necessary;
     two disjoint edges, say, are declined although their Z(K) is a wedge.
     """
-    if not _nonfaces_pairwise_intersect(K_I):
+    if not _nonfaces_pairwise_intersect(_minimal_nonface_masks(K_I)):
         raise NotApplicableError(
             "two minimal non-faces are disjoint; the wedge model needs them "
             "to pairwise intersect"
@@ -95,16 +96,41 @@ def _tensor_series(gen_degrees, N: int) -> list[int]:
     return a
 
 
+def _product_series(ranks, M: int) -> list[int]:
+    """prod_{k even} (1 - t^k)^(-l_k) * prod_{k odd} (1 + t^k)^(l_k) through degree M.
+
+    Each factor is a binomial series in t^k: (1 + t^k)^l has C(l, i) at
+    t^(ik) and (1 - t^k)^(-l) has C(l + i - 1, i), each coefficient an exact
+    multiple of the one before.
+    """
+    series = [1] + [0] * M
+    for k in range(1, M + 1):
+        l = ranks[k]
+        if not l:
+            continue
+        product = series[:]
+        c = 1
+        for i in range(1, M // k + 1):
+            c = c * (l - i + 1 if k % 2 else l + i - 1) // i
+            if not c:  # (1 + t^k)^l ends at i = l
+                break
+            shift = i * k
+            product[shift:] = [p + c * s for p, s in zip(product[shift:], series)]
+        series = product
+    return series
+
+
 def free_lie_ranks(model: SphereModel, N: int = 24) -> tuple[int, ...]:
     """Ranks of a wedge of spheres: ``ranks[k]`` = l_k for 0 <= k <= N, l_0 = 0.
 
     One pass over the degrees: ``L[n]`` collects sum k l_k e(k, n) over the
     divisors k < n solved so far (a sieve over multiples), so
-    l_n = (c_n - L[n]) / n.  As a self-check, A is rebuilt from ``L`` alone
-    by n A_n = sum_{i=1..n} L[i] A_{n-i} and compared with the target.  It
-    checks c_n and the sieve's bookkeeping but not the sign e(k, n), since
-    l_n makes ``L[n]`` end at c_n whatever the sign; the tests check the
-    sign by multiplying the product identity out.
+    l_n = (c_n - L[n]) / n.  Two self-checks follow.  A is rebuilt from
+    ``L`` alone by n A_n = sum_{i=1..n} L[i] A_{n-i} and compared with the
+    target; this checks c_n and the sieve's bookkeeping but not the sign
+    e(k, n), since l_n makes ``L[n]`` end at c_n whatever the sign.  So the
+    product identity itself is also multiplied out from the ranks, through
+    degree min(N, PRODUCT_CHECK_DEGREE), and compared with A.
     """
     if model.kind != "wedge":
         raise InputError("free Lie ranks only apply to wedge models")
@@ -132,6 +158,8 @@ def free_lie_ranks(model: SphereModel, N: int = 24) -> tuple[int, ...]:
     for n in range(1, N + 1):
         series[n] = sum(L[i] * series[n - i] for i in range(1, n + 1)) // n
     assert series == target, "sieve sums do not rebuild the loop-space series"
+    M = min(N, PRODUCT_CHECK_DEGREE)
+    assert _product_series(ranks, M) == target[: M + 1], "ranks do not satisfy the product identity"
     return tuple(ranks)
 
 

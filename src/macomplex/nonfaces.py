@@ -8,10 +8,25 @@ complement of every facet, so the minimal non-faces are the minimal
 transversals of the facet complements; dually, the facets of the complex
 cut out by a family of non-faces are the complements of the family's
 minimal transversals.
+
+Two kinds of complex give their minimal non-faces without that
+enumeration, read off ``miss[v]``, the bitset of the facets that miss
+vertex v (an index over the facet complements, built in
+O(sum |facet complement|) steps):
+
+* a join of simplex boundaries and a simplex,
+  ∂Δ(B_1) * ... * ∂Δ(B_k) * Δ(C), whose non-faces are the blocks B_i,
+  recognised with O(n^2) big-integer operations;
+* a flag complex, whose non-faces are the non-edges, recognised with at
+  most |facets| * n face tests.
+
+Every other complex, and every complex with a vertex in no facet, goes
+through Berge's enumeration, which ``reconstruct`` also uses.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable
 
 from .complexes import (
@@ -115,26 +130,154 @@ def _minimal_transversals(sets: list[int], universe: int) -> list[int]:
     return sorted(transversals)
 
 
+@functools.lru_cache(maxsize=1)
+def _facet_skeleton(
+    K: SimplicialComplex,
+) -> tuple[_MembershipIndex, tuple[int, ...], tuple[int, ...]]:
+    """The facet complements indexed by vertex, ``miss`` and ``adjacent``.
+
+    ``miss[i]`` is the bitset of the indices of the facets that miss vertex
+    i + 1.  A mask is a face exactly when some facet misses none of its
+    vertices, that is when ``index.meeting(mask)`` is not every facet.
+    ``adjacent[i]`` is the mask of the vertices that span an edge with
+    vertex i + 1, some facet missing neither (n^2 / 2 ORs).  The last
+    complex's skeleton is kept, as ``classify`` reads it for the 1-skeleton
+    witness and again through ``minimal_nonfaces``; callers only read it.
+    """
+    full = (1 << K.n) - 1
+    index = _MembershipIndex([full & ~f for f in K.facets])
+    miss = [index.meeting(1 << i) for i in range(K.n)]
+    every = (1 << len(K.facets)) - 1
+    adjacent = [0] * K.n
+    for i, mi in enumerate(miss):
+        for j in range(i + 1, K.n):
+            if mi | miss[j] != every:
+                adjacent[i] |= 1 << j
+                adjacent[j] |= 1 << i
+    return index, tuple(miss), tuple(adjacent)
+
+
+def _non_edges(adjacent: tuple[int, ...]) -> list[int]:
+    """Masks of the vertex pairs that span no edge, ascending.
+
+    Ascending masks order the pairs by their higher vertex, then their lower.
+    """
+    pairs = []
+    for i, near in enumerate(adjacent):
+        high = 1 << i
+        lower = (high - 1) & ~near
+        while lower:
+            low = lower & -lower
+            pairs.append(high | low)
+            lower ^= low
+    return pairs
+
+
+def _boundary_join_blocks(miss: tuple[int, ...], every: int) -> list[int] | None:
+    """The blocks B_i when K is ∂Δ(B_1) * ... * ∂Δ(B_k) * Δ(C), else None.
+
+    ``miss`` is ``_facet_skeleton``'s tuple for a complex without ghost
+    vertices, and ``every`` the bitset of all its facets.  The cone
+    vertices C lie in every facet.  Each other vertex v gets the block of v
+    and the vertices whose miss sets are disjoint from v's.  K is such a
+    join exactly when within each block the miss sets are pairwise
+    disjoint and cover every facet, so that each facet misses exactly one
+    vertex of each block, and the facet count is the product of the block
+    sizes, so that every choice of one vertex per block is the part some
+    facet misses.  O(n^2) big-integer operations.
+    """
+    facets = every.bit_count()
+    rest = 0
+    for i, m in enumerate(miss):
+        if m:
+            rest |= 1 << i
+    blocks = []
+    product = 1
+    while rest:
+        low = rest & -rest
+        mv = miss[low.bit_length() - 1]
+        block, cover, total = low, mv, mv.bit_count()
+        for v in _bits(rest ^ low):
+            mu = miss[v - 1]
+            if not mu & mv:
+                block |= 1 << (v - 1)
+                cover |= mu
+                total += mu.bit_count()
+        product *= block.bit_count()
+        if cover != every or total != facets or product > facets:
+            return None
+        blocks.append(block)
+        rest ^= block
+    if product != facets:
+        return None
+    blocks.sort()
+    return blocks
+
+
+def _flag_non_edges(
+    facets: tuple[int, ...], index: _MembershipIndex, adjacent: tuple[int, ...], every: int
+) -> list[int] | None:
+    """The non-edges when K is a flag complex, else None.
+
+    K is flag exactly when, for every facet F and vertex v outside it,
+    (F & N(v)) | {v} is a face: in a flag complex it is a clique, and a
+    minimal non-face s of three or more vertices fails the test at any v
+    of s and a facet F holding s - {v}.  A set of at most two vertices
+    is a clique of the 1-skeleton, so only larger ones are looked up, each
+    once; at most |facets| * n face tests, stopping at the first non-face.
+    """
+    full = (1 << len(adjacent)) - 1
+    looked_up = set()
+    for f in facets:
+        for v in _bits(full & ~f):
+            inner = f & adjacent[v - 1]
+            if inner & (inner - 1):
+                sigma = inner | 1 << (v - 1)
+                if sigma not in looked_up:
+                    if index.meeting(sigma) == every:
+                        return None
+                    looked_up.add(sigma)
+    return _non_edges(adjacent)
+
+
 def _minimal_nonface_masks(K: SimplicialComplex) -> list[int]:
     """Masks of the minimal non-faces of ``K``, ascending.
 
     A vertex v in no facet (a ghost) gives the one-element non-face {v}:
     it is a minimal transversal of the facet complements like any other.
+    Without ghosts, boundary joins and flag complexes are recognised
+    first; everything else goes through Berge's enumeration.
     """
     full = (1 << K.n) - 1
+    if K.covered_vertices() == full:
+        index, miss, adjacent = _facet_skeleton(K)
+        every = (1 << len(K.facets)) - 1
+        blocks = _boundary_join_blocks(miss, every)
+        if blocks is not None:
+            return blocks
+        non_edges = _flag_non_edges(K.facets, index, adjacent, every)
+        if non_edges is not None:
+            return non_edges
     return _minimal_transversals([full & ~f for f in K.facets], full)
 
 
-def _nonfaces_pairwise_intersect(K: SimplicialComplex) -> bool:
-    """Whether every two minimal non-faces of ``K`` share a vertex.
+def _nonfaces_pairwise_intersect(members: list[int]) -> bool:
+    """Whether every two of the masks ``members`` share a vertex.
 
-    A ghost vertex v (in no facet) is the one-element non-face {v}, which
-    misses every other minimal non-face.
+    Given the minimal non-faces of a complex (``_minimal_nonface_masks``),
+    a ghost vertex v is the one-element non-face {v}, which misses every
+    other minimal non-face.
     """
-    members = _minimal_nonface_masks(K)
     index = _MembershipIndex(members)
     everyone = (1 << len(members)) - 1
     return all(index.meeting(m) == everyone for m in members)
+
+
+def _reject_ghosts(K: SimplicialComplex) -> None:
+    """Raise ``GhostVertexError`` for the least vertex of ``K`` in no facet."""
+    missing = ((1 << K.n) - 1) & ~K.covered_vertices()
+    if missing:
+        raise GhostVertexError((missing & -missing).bit_length())
 
 
 def minimal_nonfaces(K: SimplicialComplex) -> NonfaceFamily:
@@ -143,9 +286,7 @@ def minimal_nonfaces(K: SimplicialComplex) -> NonfaceFamily:
     Every singleton must be a face; a vertex in no facet would be a
     one-element non-face, which the family type excludes.
     """
-    missing = ((1 << K.n) - 1) & ~K.covered_vertices()
-    if missing:
-        raise GhostVertexError((missing & -missing).bit_length())
+    _reject_ghosts(K)
     return NonfaceFamily(K.n, _minimal_nonface_masks(K))
 
 

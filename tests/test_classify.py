@@ -5,8 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from macomplex import (
+    GhostVertexError,
     NonfaceFamily,
     NotApplicableError,
+    RationalTypeVerdict,
     SimplicialComplex,
     boundary_simplex,
     classify,
@@ -16,14 +18,20 @@ from macomplex import (
     full_subcomplex,
     hochster_betti,
     hochster_table,
+    join,
     minimal_nonfaces,
     random_complex,
     reconstruct,
     restrict_family,
     simplex,
 )
+from macomplex import nonfaces
+from macomplex.nonfaces import _minimal_transversals
 from oracles import (
+    bounded_complex,
+    brute_minimal_nonfaces,
     convolve,
+    flag_complex,
     mask_of,
     random_family,
     random_intersecting_family,
@@ -235,3 +243,93 @@ def test_classify_matches_reconstruction():
         assert minimal_nonfaces(K) == M
         verdict = classify(K)
         assert verdict.is_elliptic == (not has_meeting_pair(M))
+
+
+# ---------------------------------------------------------------------------
+# the witness from the 1-skeleton against enumerating first
+
+
+def enumerated_verdict(K: SimplicialComplex) -> RationalTypeVerdict:
+    """The verdict from all minimal non-faces, listed by Berge's enumeration."""
+    full = (1 << K.n) - 1
+    M = NonfaceFamily(K.n, _minimal_transversals([full & ~f for f in K.facets], full))
+    try:
+        dims, disk = elliptic_model(M)
+    except NotApplicableError:
+        witness, family = find_witness(M)
+        return RationalTypeVerdict("hyperbolic", witness_mask=witness, witness_family=family)
+    return RationalTypeVerdict("elliptic", sphere_dims=dims, disk_dim=disk)
+
+
+@given(
+    st.integers(1, 10),
+    st.sampled_from(["flag", "bounded", "reconstruct", "join"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_classify_matches_enumerating_first(n, kind, seed):
+    rng = random.Random(seed)
+    if kind == "flag":
+        K = flag_complex(rng, n, rng.choice([0.3, 0.5, 0.7]))
+    elif kind == "bounded":
+        K = bounded_complex(rng, n, rng.randint(1, 4))
+    elif kind == "reconstruct":
+        K = reconstruct(random_family(rng, max(n, 2)))
+    else:  # a flag complex joined with simplex boundaries: the witness, if any, is in the flag part
+        K = flag_complex(rng, rng.randint(1, 4), 0.5)
+        for _ in range(rng.randint(1, 2)):
+            K = join(K, boundary_simplex(rng.randint(1, 3)))
+    verdict = classify(K)
+    assert verdict == enumerated_verdict(K)
+    if not verdict.is_elliptic:
+        assert verdict.witness_family == restrict_family(minimal_nonfaces(K), verdict.witness_mask)
+
+
+@pytest.mark.parametrize(
+    "K", [SimplicialComplex(3, [[1, 2]]), SimplicialComplex(2, [[]]), SimplicialComplex(4, [])],
+    ids=repr,
+)
+def test_classify_rejects_ghost_vertices_first(K):
+    with pytest.raises(GhostVertexError) as from_classify:
+        classify(K)
+    with pytest.raises(GhostVertexError) as from_nonfaces:
+        minimal_nonfaces(K)
+    assert from_classify.value.vertex == from_nonfaces.value.vertex
+
+
+def test_verdicts_without_berge(monkeypatch):
+    # a cycle, a flag complex and a boundary join all answer with the
+    # enumeration unreachable
+    flag = flag_complex(random.Random(5), 12, 0.5)
+    flag_members = sorted(mask_of(m) for m in brute_minimal_nonfaces(flag))
+    flag_verdict = enumerated_verdict(flag)
+
+    def unreachable(sets, universe):
+        raise AssertionError("Berge's enumeration ran")
+
+    monkeypatch.setattr(nonfaces, "_minimal_transversals", unreachable)
+    C40 = cycle(40)
+    assert classify(C40).witness_mask == 0b1101
+    assert len(minimal_nonfaces(C40)) == 40 * 37 // 2
+    assert classify(flag) == flag_verdict
+    assert list(minimal_nonfaces(flag)) == flag_members
+    K = join(boundary_simplex(10), boundary_simplex(12))
+    verdict = classify(K)
+    assert verdict.sphere_dims == (21, 25) and verdict.disk_dim == 0
+    assert list(minimal_nonfaces(K)) == [(1 << 11) - 1, ((1 << 13) - 1) << 11]
+
+
+@pytest.mark.parametrize(
+    "K",
+    [
+        join(boundary_simplex(3), boundary_simplex(4)),
+        reconstruct(NonfaceFamily(6, [[1, 2, 3], [3, 4, 5]])),
+    ],
+    ids=["boundary join", "two meeting triangles"],
+)
+def test_classify_builds_the_facet_skeleton_once(K):
+    # no two non-edges meet, so classify goes on to list the minimal
+    # non-faces; the recognisers reuse the 1-skeleton search's index
+    nonfaces._facet_skeleton.cache_clear()
+    classify(K)
+    info = nonfaces._facet_skeleton.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

@@ -23,6 +23,7 @@ from macomplex import (
     star_product,
     star_product_scan,
 )
+from macomplex import cohomology
 from macomplex.cohomology import CochainComplexQ, _unions_of_minimal_nonfaces
 from macomplex.linalg import (
     RowSpan,
@@ -254,6 +255,11 @@ def full_table(K):
     return entries, [by_degree.get(d, 0) for d in range(max(by_degree) + 1)]
 
 
+def visited_subsets(K):
+    """The subsets the table visits: unions of K's minimal non-faces, ascending."""
+    return list(_unions_of_minimal_nonfaces(K.n, _minimal_nonface_masks(K)))
+
+
 def union_closure(K):
     """Every union of minimal non-faces, ghost singletons included, built up member by member."""
     unions = {0}
@@ -278,16 +284,16 @@ EDGE_CASES = [
 def test_pruned_table_edge_cases(K):
     table = hochster_table(K)
     assert (table.entries, table.betti) == full_table(K)
-    assert list(_unions_of_minimal_nonfaces(K)) == union_closure(K)
-    for I in _unions_of_minimal_nonfaces(K):
+    assert visited_subsets(K) == union_closure(K)
+    for I in visited_subsets(K):
         check_rank_shortcuts(table.cochain_complex(I))
 
 
 def test_visited_subset_counts():
-    assert list(_unions_of_minimal_nonfaces(SimplicialComplex(4, []))) == list(range(16))
-    assert list(_unions_of_minimal_nonfaces(simplex(5))) == [0]
-    assert len(list(_unions_of_minimal_nonfaces(cross_polytope(6)))) == 64
-    assert len(list(_unions_of_minimal_nonfaces(cycle(14)))) == 16342
+    assert visited_subsets(SimplicialComplex(4, [])) == list(range(16))
+    assert visited_subsets(simplex(5)) == [0]
+    assert len(visited_subsets(cross_polytope(6))) == 64
+    assert len(visited_subsets(cycle(14))) == 16342
 
 
 @settings(max_examples=40)
@@ -303,7 +309,7 @@ def test_pruned_table_matches_full_loop(K):
 
 @given(nondegenerate_complexes(max_n=9))
 def test_visited_subsets_are_the_unions_of_minimal_nonfaces(K):
-    assert list(_unions_of_minimal_nonfaces(K)) == union_closure(K)
+    assert visited_subsets(K) == union_closure(K)
 
 
 @given(nondegenerate_complexes(max_n=8))
@@ -311,7 +317,7 @@ def test_ghost_vertices_are_one_element_nonfaces(K):
     oracle = brute_minimal_nonfaces(K)
     assert _minimal_nonface_masks(K) == sorted(mask_of(m) for m in oracle)
     meeting = all(a & b for a, b in combinations(oracle, 2))
-    assert _nonfaces_pairwise_intersect(K) == meeting
+    assert _nonfaces_pairwise_intersect(_minimal_nonface_masks(K)) == meeting
 
 
 @given(nondegenerate_complexes(max_n=8))
@@ -322,7 +328,25 @@ def test_nonface_test_matches_the_pair_scan_of_the_table(K):
     # minimal non-faces do, ghost vertices counting as the non-face {v}
     positive = hochster_table(K).positive_entries()
     pairs_meet = all(a[0] & b[0] for i, a in enumerate(positive) for b in positive[i:])
-    assert _nonfaces_pairwise_intersect(K) == pairs_meet
+    assert _nonfaces_pairwise_intersect(_minimal_nonface_masks(K)) == pairs_meet
+
+
+def test_trivial_ring_lists_the_minimal_nonfaces_once(monkeypatch):
+    # the pairwise test reads the masks the table enumerated
+    calls = []
+
+    def counted(K):
+        calls.append(K)
+        return _minimal_nonface_masks(K)
+
+    monkeypatch.setattr(cohomology, "_minimal_nonface_masks", counted)
+    for K in (cycle(6), cycle(5), cross_polytope(3), SimplicialComplex(4, [[1, 2], [3, 4]])):
+        calls.clear()
+        table = hochster_table(K)
+        assert table.nonfaces == _minimal_nonface_masks(K)
+        calls.clear()
+        is_trivial_ring(K)
+        assert calls == [K]
 
 
 def check_rank_shortcuts(cx):
@@ -340,7 +364,7 @@ def test_rank_shortcuts_on_the_smallest_complexes(faces):
 def test_rank_shortcuts_match_elimination(K, seed):
     check_rank_shortcuts(CochainComplexQ(K.face_masks()))
     table = hochster_table(K)
-    visited = list(_unions_of_minimal_nonfaces(K))
+    visited = visited_subsets(K)
     for I in random.Random(seed).sample(visited, min(6, len(visited))):
         check_rank_shortcuts(table.cochain_complex(I))
 

@@ -22,7 +22,7 @@ from macomplex import (
     reconstruct,
     wedge_model,
 )
-from macomplex.loops import MAX_TRUNCATION
+from macomplex.loops import MAX_TRUNCATION, _product_series
 from oracles import expand_rank_product, loop_space_series
 
 
@@ -60,6 +60,38 @@ def test_recursion_consistency_random_wedges(dims, N):
     ranks = free_lie_ranks(SphereModel("wedge", dims), N)
     assert expand_rank_product(ranks, N) == loop_space_series(dims, N)
     assert all(r >= 0 for r in ranks)
+
+
+def unsigned_sieve_ranks(dims, N):
+    """``free_lie_ranks``' solve with the sign e(k, n) dropped from the sieve."""
+    gens = [d - 1 for d in dims]
+    target = loop_space_series(dims, N)
+    ranks, L = [0] * (N + 1), [0] * (N + 1)
+    for n in range(1, N + 1):
+        l_n, rest = divmod(sum(g * target[n - g] for g in gens if g <= n) - L[n], n)
+        assert rest == 0 and l_n >= 0
+        ranks[n] = l_n
+        for m in range(n, N + 1, n):
+            L[m] += n * l_n
+    return ranks
+
+
+def test_product_check_sees_a_wrong_sign():
+    # without the sign the solve still divides exactly, and the rebuild of A
+    # from the sieve sums still matches, but l_6 of S3 v S3 v S4 comes out 2
+    N = 30
+    right = free_lie_ranks(SphereModel("wedge", (3, 3, 4)), N)
+    wrong = unsigned_sieve_ranks((3, 3, 4), N)
+    assert right[6] == 3 and wrong[6] == 2
+    target = loop_space_series((3, 3, 4), N)
+    assert _product_series(right, N) == target
+    assert _product_series(wrong, N) != target
+
+
+@given(st.lists(st.integers(0, 60), min_size=1, max_size=14), st.integers(0, 16))
+def test_product_series_matches_the_schoolbook_expansion(ranks, M):
+    ranks = [0] + ranks + [0] * M
+    assert _product_series(ranks, M) == expand_rank_product(ranks, M)
 
 
 def test_monotone_under_added_spheres():

@@ -20,12 +20,14 @@ from macomplex import (
     simplex,
     support,
 )
-from macomplex.nonfaces import _minimal_transversals
+from macomplex import nonfaces
+from macomplex.nonfaces import _minimal_nonface_masks, _minimal_transversals
 from oracles import (
     brute_minimal_nonfaces,
     brute_reconstruct_facets,
     enumerate_complexes,
     facet_sets,
+    flag_complex,
     random_family,
     relabel_facets,
     vertices_of,
@@ -268,3 +270,107 @@ def test_restriction_equality_all_subsets():
             lhs = full_subcomplex(K, I)
             rhs = reconstruct(relabel_family(restrict_family(M, I), I))
             assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# the boundary-join and flag recognisers against Berge's enumeration
+
+
+def berge_nonfaces(K: SimplicialComplex) -> list[int]:
+    """Minimal non-faces as the minimal transversals of the facet complements."""
+    full = (1 << K.n) - 1
+    return _minimal_transversals([full & ~f for f in K.facets], full)
+
+
+def recognised_nonfaces(K: SimplicialComplex) -> list[int]:
+    """``_minimal_nonface_masks(K)`` with Berge's enumeration unreachable."""
+
+    def unreachable(sets, universe):
+        raise AssertionError("the complex should have been recognised")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nonfaces, "_minimal_transversals", unreachable)
+        return _minimal_nonface_masks(K)
+
+
+@given(
+    st.integers(0, 10),
+    st.lists(st.integers(0, 1023), max_size=8),
+    st.integers(0, 1023),
+)
+def test_nonface_masks_match_berge_with_ghost_vertices(n, masks, ghosts):
+    full = (1 << n) - 1
+    K = SimplicialComplex(n, [m & full & ~ghosts for m in masks])
+    assert _minimal_nonface_masks(K) == berge_nonfaces(K)
+
+
+@given(st.integers(1, 10), st.sampled_from([0.3, 0.5, 0.7, 1.0]), st.integers(0, 2**32 - 1))
+def test_flag_complexes_are_recognised(n, p, seed):
+    K = flag_complex(random.Random(seed), n, p)
+    expected = berge_nonfaces(K)
+    assert all(m.bit_count() == 2 for m in expected)
+    assert recognised_nonfaces(K) == expected
+
+
+def relabelled_boundary_join(sizes, cone, seed):
+    """d(B_1) * ... * d(B_k) * D(cone) on shuffled labels, with its blocks."""
+    parts = [boundary_simplex(size - 1) for size in sizes]
+    if cone:
+        parts.append(simplex(cone - 1))
+    joined = SimplicialComplex(0, [[]])
+    for part in parts:
+        joined = join(joined, part)
+    labels = list(range(1, joined.n + 1))
+    random.Random(seed).shuffle(labels)
+    mapping = dict(zip(range(1, joined.n + 1), labels))
+    K = SimplicialComplex(joined.n, [sorted(f) for f in relabel_facets(joined, mapping)])
+    blocks, start = [], 1
+    for size in sizes:
+        blocks.append(sum(1 << (mapping[v] - 1) for v in range(start, start + size)))
+        start += size
+    return K, sorted(blocks)
+
+
+@given(
+    st.lists(st.integers(2, 4), max_size=4),
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_boundary_joins_are_recognised(sizes, cone, seed):
+    K, blocks = relabelled_boundary_join(sizes, cone, seed)
+    assert berge_nonfaces(K) == blocks
+    assert recognised_nonfaces(K) == blocks
+
+
+@given(
+    st.lists(st.integers(2, 4), min_size=1, max_size=4),
+    st.integers(0, 2),
+    st.integers(0, 2**32 - 1),
+)
+def test_boundary_join_without_a_facet_matches_berge(sizes, cone, seed):
+    K, _ = relabelled_boundary_join(sizes, cone, seed)
+    facets = list(K.facets)
+    del facets[random.Random(seed).randrange(len(facets))]
+    if not facets:
+        return
+    near = SimplicialComplex(K.n, facets)
+    assert _minimal_nonface_masks(near) == berge_nonfaces(near)
+
+
+@given(st.integers(3, 10), st.sampled_from([0.5, 0.7, 0.9]), st.integers(0, 2**32 - 1))
+def test_flag_complex_with_a_hollow_triangle_matches_berge(n, p, seed):
+    K = flag_complex(random.Random(seed), n, p)
+    triangles = [f for f in K.facets if f.bit_count() == 3]
+    if not triangles:
+        return
+    t = triangles[random.Random(seed).randrange(len(triangles))]
+    edges = [t ^ 1 << (v - 1) for v in vertices_of(t)]
+    near = SimplicialComplex(K.n, [f for f in K.facets if f != t] + edges)
+    assert t in berge_nonfaces(near)
+    assert _minimal_nonface_masks(near) == berge_nonfaces(near)
+
+
+@pytest.mark.parametrize("K", [SimplicialComplex(0, [[]]), simplex(0), simplex(5)], ids=repr)
+def test_no_nonfaces_without_berge(K):
+    assert berge_nonfaces(K) == []
+    assert recognised_nonfaces(K) == []
