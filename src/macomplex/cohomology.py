@@ -124,10 +124,9 @@ class CochainComplexQ:
         for edge in self.basis[1]:
             a = edge & -edge
             b = edge ^ a
+            # b is still a root: edges ascend by top vertex, and only roots below it are re-pointed
             while root[a] != a:
                 root[a] = a = root[root[a]]
-            while root[b] != b:
-                root[b] = b = root[root[b]]
             if a != b:
                 root[a] = b
                 count += 1

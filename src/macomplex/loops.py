@@ -26,7 +26,6 @@ from typing import NamedTuple
 from .cohomology import hochster_betti, is_trivial_ring
 from .complexes import SimplicialComplex
 from .errors import InputError, NotApplicableError, ResourceError
-from .nonfaces import _minimal_nonface_masks, _nonfaces_pairwise_intersect
 
 GROWTH_DELTA = 0.05  # a growth ratio is reported only above 1 + GROWTH_DELTA
 MAX_TRUNCATION = 1000  # solver time grows about as N^3: 0.15 s at N = 1000, 1.2 s at 2000
@@ -54,23 +53,20 @@ class GrowthCertificate(NamedTuple):
 def wedge_model(K_I: SimplicialComplex) -> SphereModel:
     """Wedge of spheres carrying the rational type of Z(K_I).
 
-    Requires the reduced cohomology ring of Z(K_I) to be trivial; the
-    wedge then has one sphere of dimension d per unit of Betti number in
-    each degree d >= 3.  Also requires the minimal non-faces of K_I to
-    pairwise intersect, as on the witnesses of ``classify``, and checks it:
-    a trivial product alone does not give a wedge in general (Katthän,
+    Requires the minimal non-faces of K_I to pairwise intersect, as on the
+    witnesses of ``classify``, and reads that check off ``is_trivial_ring``,
+    whose certificate has kind ``disjoint_supports_absent`` exactly in that
+    case.  The cohomology ring is then trivial, and the wedge has one
+    sphere of dimension d per unit of Betti number in each degree d >= 3.
+    A trivial product alone does not give a wedge in general (Katthän,
     J. Algebra 479, 2017).  The condition is sufficient, not necessary;
     two disjoint edges, say, are declined although their Z(K) is a wedge.
     """
-    if not _nonfaces_pairwise_intersect(_minimal_nonface_masks(K_I)):
+    _, certificate = is_trivial_ring(K_I)
+    if certificate["kind"] != "disjoint_supports_absent":
         raise NotApplicableError(
             "two minimal non-faces are disjoint; the wedge model needs them "
             "to pairwise intersect"
-        )
-    trivial, _ = is_trivial_ring(K_I)
-    if not trivial:
-        raise NotApplicableError(
-            "cohomology ring has a nonzero product; not a wedge of spheres"
         )
     betti = hochster_betti(K_I)
     if len(betti) > 1 and any(betti[1:3]):
@@ -125,12 +121,12 @@ def free_lie_ranks(model: SphereModel, N: int = 24) -> tuple[int, ...]:
 
     One pass over the degrees: ``L[n]`` collects sum k l_k e(k, n) over the
     divisors k < n solved so far (a sieve over multiples), so
-    l_n = (c_n - L[n]) / n.  Two self-checks follow.  A is rebuilt from
-    ``L`` alone by n A_n = sum_{i=1..n} L[i] A_{n-i} and compared with the
-    target; this checks c_n and the sieve's bookkeeping but not the sign
-    e(k, n), since l_n makes ``L[n]`` end at c_n whatever the sign.  So the
-    product identity itself is also multiplied out from the ranks, through
-    degree min(N, PRODUCT_CHECK_DEGREE), and compared with A.
+    l_n = (c_n - L[n]) / n.  Solving l_n leaves ``L[n]`` equal to c_n
+    whatever the sieve added to it, so A rebuilt from ``L`` by
+    n A_n = sum_{i=1..n} L[i] A_{n-i} checks only that the c_n agree with
+    A; it never sees a sieve error.  Those show as a fractional or negative
+    l_n, or in the product identity, which is multiplied out from the
+    ranks through degree min(N, PRODUCT_CHECK_DEGREE) and compared with A.
     """
     if model.kind != "wedge":
         raise InputError("free Lie ranks only apply to wedge models")
@@ -157,7 +153,7 @@ def free_lie_ranks(model: SphereModel, N: int = 24) -> tuple[int, ...]:
     series = [1] + [0] * N
     for n in range(1, N + 1):
         series[n] = sum(L[i] * series[n - i] for i in range(1, n + 1)) // n
-    assert series == target, "sieve sums do not rebuild the loop-space series"
+    assert series == target, "the sums c_n do not rebuild the loop-space series"
     M = min(N, PRODUCT_CHECK_DEGREE)
     assert _product_series(ranks, M) == target[: M + 1], "ranks do not satisfy the product identity"
     return tuple(ranks)

@@ -182,9 +182,11 @@ def _boundary_join_blocks(miss: tuple[int, ...], every: int) -> list[int] | None
     and the vertices whose miss sets are disjoint from v's.  K is such a
     join exactly when within each block the miss sets are pairwise
     disjoint and cover every facet, so that each facet misses exactly one
-    vertex of each block, and the facet count is the product of the block
-    sizes, so that every choice of one vertex per block is the part some
-    facet misses.  O(n^2) big-integer operations.
+    vertex of each block, and every choice of one vertex per block is the
+    part some facet misses.  A facet is fixed by the choice it misses, so
+    the facet count is at most the product of the block sizes; refusing a
+    product above it leaves equality, so every choice is taken.  O(n^2)
+    big-integer operations.
     """
     facets = every.bit_count()
     rest = 0
@@ -208,8 +210,6 @@ def _boundary_join_blocks(miss: tuple[int, ...], every: int) -> list[int] | None
             return None
         blocks.append(block)
         rest ^= block
-    if product != facets:
-        return None
     blocks.sort()
     return blocks
 

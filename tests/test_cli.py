@@ -351,6 +351,16 @@ def test_report_writer_matches_json_dumps(value):
     assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
+def test_schema_states_the_vertex_bound_once():
+    top = complexes.MAX_VERTICES
+    assert SCHEMA["$defs"]["vertex_bound"]["maximum"] == top
+    assert json.dumps(SCHEMA).count(str(top)) == 1
+    jsonschema.validate({"n": top, "facets": [[top]]}, SCHEMA)
+    for report in ({"n": top + 1, "facets": []}, {"n": top, "facets": [[top + 1]]}):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, SCHEMA)
+
+
 def test_ghost_vertex_exit_code(capsys):
     code, report = run_json(
         capsys, ["nonfaces", "--input", GHOST_JSON]
@@ -404,6 +414,25 @@ def test_loop_ranks_refuses_a_truncation_above_the_limit(capsys):
         "type": "ResourceError",
         "message": f"truncation N={10**18} exceeds the limit of 1000",
     }
+
+
+C25_JSON = json.dumps(cycle(25).to_json_dict())
+
+
+@pytest.mark.parametrize("command", ["classify", "nonfaces", "loop-ranks"])
+def test_limit_n_refuses_a_larger_complex(capsys, command):
+    code, report = run_json(capsys, [command, "--input", C25_JSON])
+    assert code == 3
+    assert report["error"] == {
+        "type": "ResourceError",
+        "message": f"n=25 exceeds the limit of 24 for '{command}' (raise it with --limit-n)",
+    }
+
+
+def test_limit_n_admits_a_complex_once_raised(capsys):
+    code, report = run_json(capsys, ["classify", "--limit-n", "25", "--input", C25_JSON])
+    assert code == 0
+    assert report["witness_I"] == [1, 3, 4]
 
 
 def test_crosscheck_on_c13_and_loop_ranks_on_c21_run(capsys):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,9 +8,16 @@ from macomplex import (
     InputError,
     NonfaceFamily,
     SimplicialComplex,
+    SphereModel,
     boundary_simplex,
+    cross_polytope,
+    cycle,
+    free_lie_ranks,
     full_subcomplex,
+    generate,
     join,
+    product_ranks,
+    random_complex,
     relabel_family,
     restrict_family,
     simplex,
@@ -71,6 +80,39 @@ def test_bad_masks_raise_input_error(call, mask):
 def test_vertex_count_is_an_integer_in_range(n):
     with pytest.raises(InputError):
         SimplicialComplex(n, [[1]])
+
+
+# argument checks of the library that no CLI path reaches, with their messages
+ARGUMENT_CHECKS = {
+    "join": (lambda: join(simplex(31), simplex(31)), "join would need 64 > 63 vertices"),
+    "boundary_simplex": (lambda: boundary_simplex(-1), "dimension must be >= 0, got -1"),
+    "cycle": (lambda: cycle(2), "a cycle needs at least 3 vertices, got 2"),
+    "cross_polytope": (lambda: cross_polytope(0), "needs k >= 1, got 0"),
+    "random_complex": (lambda: random_complex(0), "need n >= 1, got 0"),
+    "generate": (lambda: generate("nope", 3), "unknown family 'nope'"),
+    "free_lie_ranks": (
+        lambda: free_lie_ranks(SphereModel("wedge", (3, 3)), 0),
+        "truncation must be at least 1",
+    ),
+    "product_ranks_of_a_wedge": (
+        lambda: product_ranks(SphereModel("wedge", (3, 3))),
+        "only apply to product models",
+    ),
+    "product_ranks_truncation": (
+        lambda: product_ranks(SphereModel("product", (5,)), 3),
+        "truncation too small to hold every sphere's class",
+    ),
+    "relabel_family": (
+        lambda: relabel_family(M4, 0b0101),
+        re.escape("member [2, 4] is not contained in I"),
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", ARGUMENT_CHECKS.values(), ids=ARGUMENT_CHECKS)
+def test_unreached_argument_checks_raise_input_error(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
 
 
 def test_from_facets_removes_duplicates():

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import accumulate, combinations_with_replacement
 
 import pytest
@@ -22,6 +23,7 @@ from macomplex import (
     reconstruct,
     wedge_model,
 )
+from macomplex import nonfaces
 from macomplex.loops import MAX_TRUNCATION, _product_series
 from oracles import expand_rank_product, loop_space_series
 
@@ -192,6 +194,28 @@ def test_wedge_model_of_c5_witness(c5):
     model = wedge_model(witness)
     assert model.kind == "wedge"
     assert model.dims == (3, 3, 4)
+
+
+def test_wedge_model_enumerates_the_nonfaces_once_per_table(monkeypatch, c5):
+    # is_trivial_ring's table answers the hypothesis; hochster_betti builds the second
+    witness = full_subcomplex(c5, classify(c5).witness_mask)
+    original = nonfaces._minimal_nonface_masks
+    calls = []
+
+    def counted(K):
+        calls.append(K)
+        return original(K)
+
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name == "macomplex" or name.startswith("macomplex."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+                    patched.add(f"{name}.{attr}")
+    assert "macomplex.cohomology._minimal_nonface_masks" in patched
+    wedge_model(witness)
+    assert calls == [witness, witness]
 
 
 def test_wedge_model_two_points():
