@@ -131,13 +131,17 @@ def run(args: argparse.Namespace) -> tuple[int, object]:
     return max(code for code, _ in results), batch
 
 
+_INT = frozenset([int])  # the type set of a list of exact ints; bool is a type of its own
+
+
 def _dumps(value, pad: str = "") -> str:
     """Exactly ``json.dumps(value, sort_keys=True, indent=2)``, nested at ``pad``.
 
     With ``indent`` set, ``json.dumps`` always runs the pure-Python encoder.
     This walks the shapes reports are made of (str-keyed dicts, lists, exact
-    ints, strings) directly, joins a list of ints in one call, and hands
-    every other value to ``json.dumps`` itself, re-indented to its depth.
+    ints, strings) directly, joins a list of ints in one call, writes a list
+    of records through ``_records``, and hands every other value to
+    ``json.dumps`` itself, re-indented to its depth.
     """
     kind = type(value)
     if kind is int:
@@ -146,8 +150,10 @@ def _dumps(value, pad: str = "") -> str:
         return encode_basestring_ascii(value)
     inner = pad + "  "
     if kind is list and value:
-        if all(type(v) is int for v in value):
+        if _INT.issuperset(map(type, value)):
             items = map(int.__repr__, value)
+        elif _are_records(value):
+            items = _records(value, inner)
         else:
             items = [_dumps(v, inner) for v in value]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
@@ -155,6 +161,42 @@ def _dumps(value, pad: str = "") -> str:
         items = [encode_basestring_ascii(k) + ": " + _dumps(value[k], inner) for k in sorted(value)]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+
+
+def _are_records(values: list) -> bool:
+    """Whether ``values`` are dicts that share one non-empty set of str keys."""
+    first = values[0]
+    if type(first) is not dict or not first or not all(type(k) is str for k in first):
+        return False
+    keys = first.keys()
+    return all(type(v) is dict and v.keys() == keys for v in values)
+
+
+def _records(records: list[dict], pad: str) -> list[str]:
+    """``_dumps`` of each record at ``pad``, through one template for the shared keys.
+
+    The keys are sorted and encoded once.  An int leaf, or a non-empty list
+    of ints, is written here; any other leaf goes back to ``_dumps``.
+    """
+    inner = pad + "  "
+    keys = sorted(records[0])
+    fields = (encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
+    template = "{\n" + inner + (",\n" + inner).join(fields) + "\n" + pad + "}"
+    list_open, list_sep, list_close = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
+    out = []
+    for record in records:
+        texts = []
+        for key in keys:
+            leaf = record[key]
+            kind = type(leaf)
+            if kind is int:
+                texts.append(int.__repr__(leaf))
+            elif kind is list and leaf and _INT.issuperset(map(type, leaf)):
+                texts.append(list_open + list_sep.join(map(int.__repr__, leaf)) + list_close)
+            else:
+                texts.append(_dumps(leaf, inner))
+        out.append(template % tuple(texts))
+    return out
 
 
 def _render_text(command: str, report) -> str:
@@ -190,6 +232,17 @@ def _render_text(command: str, report) -> str:
     return f"n={report['n']}, facets {report['facets']}"  # generate
 
 
+def _limit(text: str) -> int:
+    """A limit option's value: an int of at least 0, or argparse exits with code 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a limit cannot be negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mac",
@@ -218,11 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if name in ("classify", "nonfaces", "loop-ranks"):
             cmd.add_argument(
-                "--limit-n", type=int, default=24,
+                "--limit-n", type=_limit, default=24,
                 help="largest n on which the minimal non-face enumeration runs",
             )
         if name in ("oracle-betti", "crosscheck"):
-            cmd.add_argument("--limit-cells", type=int, default=cells.DEFAULT_CELL_LIMIT)
+            cmd.add_argument("--limit-cells", type=_limit, default=cells.DEFAULT_CELL_LIMIT)
         if name == "loop-ranks":
             cmd.add_argument("--truncation", type=int, default=24)
         if name == "oracle-betti":

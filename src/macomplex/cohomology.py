@@ -20,10 +20,15 @@ zero.  The table therefore visits only the unions of minimal non-faces,
 counting a vertex in no facet as the non-face {v}; the empty set, the
 empty union, carries the unit.
 
-Each visited K_I is the restriction of K's cochain complex to I; columns
-are face masks, so each face's boundary row is built once for every K_I.
-All linear algebra is exact: a spanning forest for d_0, integer echelons
-for the other ranks and for cocycles, Fractions for representatives.
+The table makes one lean pass.  For each visited I, ``_faces_within``
+filters K's per-degree face lists to I once, and ``_reduced_betti`` reads
+all reduced Betti numbers of K_I from those lists in one call; no cochain
+complex object is built for a subset.  The same filter serves
+``CochainComplexQ.restrict``, which the ring scan uses for the few K_I
+whose cocycles it needs.  Columns are face masks, so each face's boundary
+row is built once for every K_I.  All linear algebra is exact: rank 1 for
+d_{-1}, a spanning forest for d_0, integer echelons for the other ranks
+and for cocycles, Fractions for representatives.
 """
 
 from __future__ import annotations
@@ -37,6 +42,69 @@ from .errors import InputError, ResourceError
 from .nonfaces import _minimal_nonface_masks, _nonfaces_pairwise_intersect
 
 HOCHSTER_MAX_N = 20
+
+
+def _faces_within(basis: dict[int, list[int]], I: int) -> dict[int, list[int]]:
+    """The faces of ``basis`` inside the vertex mask ``I``: those of the full subcomplex.
+
+    ``basis`` maps each degree, ascending from -1, to its face masks in
+    ascending order, and so does the result.
+    """
+    outside = ~I
+    within = {}
+    for j, masks in basis.items():
+        inside = [m for m in masks if not m & outside]
+        if not inside:  # degrees ascend; a larger face inside I would have j-faces inside I
+            break
+        within[j] = inside
+    return within
+
+
+def _reduced_betti(basis: dict[int, list[int]], row) -> list[int]:
+    """Reduced Betti numbers b_{-1}, ..., b_top of the complex whose faces are ``basis``.
+
+    ``basis`` is as ``_faces_within`` returns it and ``row(tau)`` is the
+    signed boundary row of the face tau.  b_j = dim C^j - rank d_j - rank
+    d_{j-1}, and the ranks take shortcuts where they can.  C^j is zero
+    below degree -1 and C^{j+1} is zero from degree ``top`` on.  d_{-1}
+    sends the empty face to the sum of the vertices, so it has rank 1
+    whenever there is a vertex.  d_0 is the incidence matrix of the
+    1-skeleton, whose rank is its vertex count minus its component count:
+    the edges of a spanning forest.  Higher degrees go to elimination in
+    descending face order, which makes far less fill-in than ascending
+    order (tenfold less time on the cross polytope of dimension 8).
+    """
+    dims = [*map(len, basis.values())]
+    if len(dims) < 3:  # no edge: b_{-1} = 1 without a vertex, else b_0 = vertices - 1
+        return dims if len(dims) == 1 else [0, dims[1] - 1]
+    rank = _spanning_forest_edges(basis[1])  # of d_0
+    betti = [0, dims[1] - 1 - rank]
+    for j in range(1, len(dims) - 2):
+        lower, rank = rank, linalg.rank_sparse([*map(row, reversed(basis[j + 1]))])
+        betti.append(dims[j + 1] - rank - lower)
+    betti.append(dims[-1] - rank)  # d_top is zero
+    return betti
+
+
+def _spanning_forest_edges(edges: list[int]) -> int:
+    """Edges of a spanning forest of the graph with the two-vertex masks ``edges``, ascending.
+
+    Union-find keeps a parent only for a vertex that is not a root, so no
+    vertex list is needed.
+    """
+    parent: dict[int, int] = {}
+    count = 0
+    for edge in edges:
+        a = edge & -edge
+        b = edge ^ a
+        while a in parent:  # path halving: re-point a at its grandparent and step there
+            up = parent[a]
+            parent[a] = a = parent.get(up, up)
+        # b is still a root: edges ascend by top vertex, and only roots below it are re-pointed
+        if a != b:
+            parent[a] = b
+            count += 1
+    return count
 
 
 class CochainComplexQ:
@@ -60,25 +128,14 @@ class CochainComplexQ:
 
     def _setup(self, basis: dict[int, list[int]], rows: dict[int, dict[int, int]]) -> None:
         self.basis = basis
-        self.top = max(basis)
         self._rows = rows  # face mask -> its boundary row, shared by restrictions
-        self._rank_cache: dict[int, int] = {}
         self._cohomology: dict[int, tuple[list[dict[int, Fraction]], list[int], dict]] = {}
 
     def restrict(self, I: int) -> "CochainComplexQ":
         """The full subcomplex on vertex mask ``I``, sharing this complex's row cache."""
-        basis = {}
-        for j, masks in self.basis.items():
-            inside = [m for m in masks if not m & ~I]
-            if not inside:  # degrees ascend; a larger face inside I would have j-faces inside I
-                break
-            basis[j] = inside
         sub = object.__new__(CochainComplexQ)
-        sub._setup(basis, self._rows)
+        sub._setup(_faces_within(self.basis, I), self._rows)
         return sub
-
-    def degrees(self) -> range:
-        return range(-1, self.top + 1)
 
     def _row(self, tau: int) -> dict[int, int]:
         """Signed boundary faces of ``tau``, {face mask: +-1}, built on first use."""
@@ -93,50 +150,6 @@ class CochainComplexQ:
     def coboundary_rows(self, j: int) -> list[dict[int, int]]:
         """Matrix of d_j : C^j -> C^{j+1}, one row per (j+1)-face, columns keyed by j-face mask."""
         return [self._row(tau) for tau in self.basis.get(j + 1, [])]
-
-    def _rank(self, j: int) -> int:
-        """Rank of d_j, by elimination only for 1 <= j < top.
-
-        C^j is zero below degree -1 and C^{j+1} is zero from degree ``top``
-        on.  d_{-1} sends the empty face to the sum of the vertices, so it
-        has rank 1 whenever j = -1 < top, that is, whenever there is a vertex.
-        d_0 is the incidence matrix of the 1-skeleton, whose rank is its
-        vertex count minus its component count: the edges of a spanning
-        forest.  Higher degrees go to elimination in descending face order,
-        which makes far less fill-in than ascending order (tenfold less time
-        on the cross polytope of dimension 8).
-        """
-        if j < -1 or j >= self.top:
-            return 0
-        if j == -1:
-            return 1
-        if j not in self._rank_cache:
-            self._rank_cache[j] = (
-                self._spanning_forest_edges() if j == 0
-                else linalg.rank_sparse(self.coboundary_rows(j)[::-1])
-            )
-        return self._rank_cache[j]
-
-    def _spanning_forest_edges(self) -> int:
-        """Edges of a spanning forest of the 1-skeleton, by union-find over the vertices."""
-        root = {v: v for v in self.basis[0]}
-        count = 0
-        for edge in self.basis[1]:
-            a = edge & -edge
-            b = edge ^ a
-            # b is still a root: edges ascend by top vertex, and only roots below it are re-pointed
-            while root[a] != a:
-                root[a] = a = root[root[a]]
-            if a != b:
-                root[a] = b
-                count += 1
-        return count
-
-    def betti(self, j: int) -> int:
-        dim_j = len(self.basis.get(j, []))
-        if dim_j == 0:
-            return 0
-        return dim_j - self._rank(j) - self._rank(j - 1)
 
     def representatives(self, j: int) -> list[dict[int, Fraction]]:
         """Cocycle representatives spanning degree-j cohomology.
@@ -198,13 +211,6 @@ class CochainComplexQ:
                 for c, w in row.items():
                     residual[c] = residual.get(c, 0) - q * w
         return tuple(residual.get(-k, Fraction(0)) for k in kept)
-
-    def validate(self) -> None:
-        """Assert d_j o d_{j-1} = 0 for every degree."""
-        d = self.coboundary_rows
-        for j in self.degrees():
-            lower = dict(zip(self.basis.get(j, []), d(j - 1)))  # d_{j-1}, one row per j-face mask
-            assert linalg.product_is_zero(d(j), lower), f"d o d != 0 in degree {j - 1}"
 
 
 class HochsterTable:
@@ -295,19 +301,19 @@ def hochster_table(K: SimplicialComplex) -> HochsterTable:
         )
     nonfaces = _minimal_nonface_masks(K)
     whole = CochainComplexQ(K.face_masks())
+    basis, row = whole.basis, whole._row
     entries: dict[tuple[int, int], int] = {}
-    betti_acc: dict[int, int] = {}
+    betti = [0] * (2 * K.n + 2)  # degree j + |I| + 1 <= 2n
     for I in _unions_of_minimal_nonfaces(K.n, nonfaces):
-        cx = whole.restrict(I)
-        size = I.bit_count()
-        for j in cx.degrees():
-            dim = cx.betti(j)
+        shift = I.bit_count() + 1
+        j = -1
+        for dim in _reduced_betti(_faces_within(basis, I), row):
             if dim:
                 entries[(I, j)] = dim
-                deg = j + size + 1
-                betti_acc[deg] = betti_acc.get(deg, 0) + dim
-    top = max(betti_acc)
-    betti = [betti_acc.get(d, 0) for d in range(top + 1)]
+                betti[j + shift] += dim
+            j += 1
+    while not betti[-1]:
+        betti.pop()
     return HochsterTable(whole, entries, betti, nonfaces)
 
 

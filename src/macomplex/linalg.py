@@ -38,7 +38,8 @@ def echelon(rows) -> dict[int, dict[int, int]]:
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        row = {c: v for c, v in row.items() if v}
+        # a plain copy is much cheaper than the filter, and boundary rows hold no zero
+        row = {c: v for c, v in row.items() if v} if 0 in row.values() else dict(row)
         while row:
             col = min(row)
             pivot = pivots.get(col)

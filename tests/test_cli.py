@@ -309,6 +309,12 @@ REPORT_DIGESTS = [
     ("ring", "cycle", 12, "5fe88a415f28653eac1aefba6f3613053dd7c9740b549adb2f1ed66addf36218"),
     ("ring", "cross_polytope", 5, "d52d7b0d7caf6f7644364717abaa5111f37a6ae2f691270811d22da6c639625b"),
     ("loop-ranks", "cycle", 11, "5b8750d6d8c9b5f3965b07d75a052c2db99a998ee751497bf37d8d71633585c5"),
+    # captured while every visited K_I was still a restricted cochain complex; unlike a
+    # cycle, both reach the elimination branch (degree j >= 1) of the table
+    ("betti", "cross_polytope", 5,
+     "26f30899e197d7e8a1769ae7f3cabd0c2137be010ef8f34d1f143b124132cec3"),
+    ("betti", "random --seed 34", 12,
+     "d82ee7dd3c3d92ce5b69ba5bacf7de957699218d4e6cf919271824440dddcc3c"),
     # captured while the ranks were solved by multiplying out one series per degree
     ("loop-ranks --truncation 1000", "cycle", 5,
      "b0350e9e1ea3bab2de793b196b253b2c1ad6f83c840a888a6aa09fd36ea2d497"),
@@ -317,7 +323,8 @@ REPORT_DIGESTS = [
 
 @pytest.mark.parametrize("command, family, size, digest", REPORT_DIGESTS)
 def test_report_digests_are_unchanged(capsys, command, family, size, digest):
-    _, generated = run_cli(capsys, ["generate", "--family", family, "--size", str(size)])
+    # ``family`` may carry generator options after the family name
+    _, generated = run_cli(capsys, ["generate", "--family", *family.split(), "--size", str(size)])
     code, out = run_cli(capsys, [*command.split(), "--input", generated])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -347,6 +354,13 @@ JSON_TREES = st.recursive(
 @example([float("nan"), float("inf"), -float("inf"), -0.0, 0.5])
 @example({"x": {2: {"y": [1, -2]}, -1: []}, "z": [True, False, None, 3]})
 @example(["\"q\" \\ \n\t\x00\x1f\x7f é 漢 😀", 10**60, -(10**60)])
+# lists of records that share one key set, as the betti report's entries do, and near misses
+@example({"entries": [{"I": [], "j": -1, "dim": 1}, {"I": [1, 3], "j": 0, "dim": 2}]})
+@example([{"a": True, "b": None, "c": 1}, {"a": 2, "b": False, "c": [True, 1]}])
+@example([{"x": 10**60, "y": [-(10**60), 1]}, {"x": -(10**60), "y": []}])
+@example([{"k": {"m": [1, 2]}, "l": 1}, {"k": {}, "l": [{"m": 1}, {"m": 2}]}])
+@example([{1: [2], 2: 3}, {1: [], 2: 4}])
+@example([{"a": 1}, {"b": 2}, {"a": 1, "b": 2}, {"a": [1]}, [1]])
 def test_report_writer_matches_json_dumps(value):
     assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
@@ -427,6 +441,21 @@ def test_limit_n_refuses_a_larger_complex(capsys, command):
         "type": "ResourceError",
         "message": f"n=25 exceeds the limit of 24 for '{command}' (raise it with --limit-n)",
     }
+
+
+@pytest.mark.parametrize(
+    "command, option", [("classify", "--limit-n"), ("crosscheck", "--limit-cells")]
+)
+@pytest.mark.parametrize("value", ["-1", "abc"])
+def test_malformed_limits_are_refused_when_parsed(capsys, command, option, value):
+    # a negative limit is malformed like a non-integer one: exit 2 before any input is read
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, option, value, "--input", "no such file"])
+    assert exc.value.code == 2
+    assert f"argument {option}: " in capsys.readouterr().err
+    code, report = run_json(capsys, [command, option, "0", "--input", C4_JSON])  # 0 is a limit
+    assert code == 3
+    assert report["error"]["type"] == "ResourceError"
 
 
 def test_limit_n_admits_a_complex_once_raised(capsys):
