@@ -237,12 +237,12 @@ class HochsterTable:
 
     def positive_entries(self) -> list[tuple[int, int, int]]:
         """(I mask, j, dim) of positive total degree, i.e. all with nonempty I."""
-        return [(I, j, dim) for (I, j), dim in sorted(self.entries.items()) if I]
+        return [(I, j, dim) for (I, j), dim in self.entries.items() if I]
 
     def to_json_dict(self) -> dict:
         entries = [
             {"I": list(_bits(I)), "j": j, "dim": dim}
-            for (I, j), dim in sorted(self.entries.items())
+            for (I, j), dim in self.entries.items()
         ]
         return {"entries": entries, "betti": list(self.betti)}
 
@@ -292,7 +292,9 @@ def hochster_table(K: SimplicialComplex) -> HochsterTable:
     vertex v of I lies in no minimal non-face inside I, then adding v to any
     face of K_I gives a face, so K_I is a cone with apex v and has no reduced
     cohomology (Buchstaber & Panov, Toric Topology, AMS 2015, Ch. 4); such
-    an I contributes no entry.
+    an I contributes no entry.  The entries go in ascending (I, j) order,
+    which the table's readers keep: ascending unions, each with its degrees
+    upwards from -1.
     """
     if K.n > HOCHSTER_MAX_N:
         raise ResourceError(

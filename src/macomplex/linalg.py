@@ -9,8 +9,9 @@ columns it actually reaches, instead of every remaining row being
 rescanned for every pivot.  Elimination stays in the integers (Bareiss,
 Math. Comp. 22, 1968): an exact quotient when the pivot divides the
 coefficient, otherwise cross-multiplication followed by gcd normalisation.
-``rank_sparse`` counts the pivots; the cocycle layer of the ring scan
-reads kernels, images and representatives off the pivot tables.
+``rank_sparse`` counts the pivots for both Betti engines, whose d∘d check
+is a test oracle; the cocycle layer of the ring scan reads kernels,
+images and representatives off the pivot tables.
 
 The dense routines over Fraction (``rref``, ``kernel_basis``,
 ``solve_columns`` and ``RowSpan``) have no caller in the package.  They
@@ -74,19 +75,6 @@ def echelon(rows) -> dict[int, dict[int, int]]:
 def rank_sparse(rows) -> int:
     """Rank of an integer matrix given as sparse rows: the pivots of its echelon."""
     return len(echelon(rows))
-
-
-def product_is_zero(left, right) -> bool:
-    """Whether left * right = 0 for sparse {col: coeff} rows; ``right[c]`` is the row of
-    column c of ``left``, so a list for position columns, a dict for face-mask columns."""
-    for row in left:
-        acc: dict[int, int] = {}
-        for mid, v in row.items():
-            for c, w in right[mid].items():
-                acc[c] = acc.get(c, 0) + v * w
-        if any(acc.values()):
-            return False
-    return True
 
 
 def rref(matrix) -> tuple[list[list[Fraction]], list[int]]:

@@ -36,6 +36,7 @@ from .complexes import (
     _check_vertex_count,
     _compress_mask,
     _mask_of,
+    _maximal_masks,
     _MembershipIndex,
 )
 from .errors import GhostVertexError, InputError
@@ -45,7 +46,8 @@ class NonfaceFamily:
     """An antichain of vertex sets of size >= 2 inside 1..n.
 
     Each member is given as a vertex mask or a vertex list and stored as a
-    mask; the members are sorted by mask.
+    mask; the members are sorted by mask.  ``_maximal_masks``, the facet
+    filter, checks the antichain and never compares two members of one size.
     """
 
     __slots__ = ("n", "members")
@@ -59,10 +61,8 @@ class NonfaceFamily:
                 raise InputError(f"non-face {list(_bits(mask))} has fewer than 2 vertices")
             sets.append(mask)
         uniq = sorted(set(sets))
-        index = _MembershipIndex(uniq)
-        for i, a in enumerate(uniq):
-            if index.containing(a) != 1 << i:  # some other member contains a
-                raise InputError("non-face family is not an antichain")
+        if len(_maximal_masks(uniq)) < len(uniq):  # some member lies inside another
+            raise InputError("non-face family is not an antichain")
         self.n = n
         self.members = tuple(uniq)
 

@@ -93,7 +93,7 @@ def rank_within(mask: int, within: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense matrices
+# dense and sparse matrices
 
 
 def dense_rows(rows, ncols: int) -> list[list[Fraction]]:
@@ -105,6 +105,26 @@ def dense_rows(rows, ncols: int) -> list[list[Fraction]]:
             dense[c] = Fraction(v)
         out.append(dense)
     return out
+
+
+def product_is_zero(left, right) -> bool:
+    """Whether left * right = 0 for sparse {col: coeff} rows; ``right[c]`` is the row of
+    column c of ``left``, so a list for position columns, a dict for face-mask columns."""
+    for row in left:
+        acc: dict[int, int] = {}
+        for mid, v in row.items():
+            for c, w in right[mid].items():
+                acc[c] = acc.get(c, 0) + v * w
+        if any(acc.values()):
+            return False
+    return True
+
+
+def validate_cells(C) -> None:
+    """Assert that the boundary of a ``MomentAngleCellComplex`` squares to zero."""
+    b = C.boundaries
+    for d in range(2, C.top_dimension + 1):
+        assert product_is_zero(b[d], b[d - 1]), f"d o d != 0 in dimension {d}"
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from macomplex.linalg import (
     RowSpan,
     echelon,
     kernel_basis,
-    product_is_zero,
     rank_sparse,
     solve_columns,
 )
@@ -45,6 +44,7 @@ from oracles import (
     dense_rows,
     flag_complex,
     mask_of,
+    product_is_zero,
     random_family,
     random_pairwise_intersecting_family,
     unskipped_star_product_scan,
@@ -301,6 +301,7 @@ EDGE_CASES = [
 def test_pruned_table_edge_cases(K):
     table = hochster_table(K)
     assert (table.entries, table.betti) == full_table(K)
+    assert list(table.entries) == sorted(table.entries)  # the readers rely on it
     assert visited_subsets(K) == union_closure(K)
     for I in visited_subsets(K):
         check_rank_shortcuts(table.cochain_complex(I))
@@ -318,6 +319,7 @@ def test_visited_subset_counts():
 def test_pruned_table_matches_full_loop(K):
     table = hochster_table(K)
     assert (table.entries, table.betti) == full_table(K)
+    assert list(table.entries) == sorted(table.entries)  # the readers rely on it
     faces = K.face_masks()
     for I, _, _ in table.positive_entries():
         filtered = CochainComplexQ([f for f in faces if f & ~I == 0])

@@ -47,6 +47,12 @@ def test_family_validation():
         NonfaceFamily(2, [[1, 3]])
     M = NonfaceFamily(4, [[2, 4], [1, 3]])
     assert list(M) == sorted(M)
+    # the 1,890 non-edges of C63 are one size group; a triangle over {1, 3} is not
+    non_edges = [[i, j] for i in range(1, 64) for j in range(i + 2, 64) if (i, j) != (1, 63)]
+    M = NonfaceFamily(63, non_edges)
+    assert len(M) == 1890 and M == minimal_nonfaces(cycle(63))
+    with pytest.raises(InputError, match="antichain"):
+        NonfaceFamily(63, non_edges + [[1, 2, 3]])
 
 
 @given(

@@ -2,7 +2,8 @@
 
 The two Betti engines share nothing above the rank layer: the cellular
 engine (``cells``) uses only the complex, error and linear-algebra modules,
-and nothing but the front doors uses it.  The dense Fraction routines of
+and of the last only ``rank_sparse``, and nothing but the front doors uses
+it.  The d∘d checks are test oracles, so no module defines ``validate``.  The dense Fraction routines of
 ``linalg`` are the tests' reference and have no caller in the package.
 ``__all__`` names exactly the public API, and the README's quick start runs.
 """
@@ -55,6 +56,26 @@ def names_used(tree) -> set[str]:
 
 def test_cells_imports_only_the_rank_layer_and_below():
     assert package_imports(MODULES["cells"]) <= {"complexes", "errors", "linalg"}
+
+
+def test_cells_takes_only_rank_sparse_from_linalg():
+    taken = {
+        alias.name
+        for node in ast.walk(MODULES["cells"])
+        if isinstance(node, ast.ImportFrom) and node.module == "linalg"
+        for alias in node.names
+    }
+    assert taken == {"rank_sparse"}
+    assert "linalg" not in names_used(MODULES["cells"])  # no `from . import linalg`
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_the_d_squared_checks_live_in_the_tests(name):
+    # the d o d checker and its product test are test oracles, not package code
+    tree = MODULES[name]
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "product_is_zero" not in names_used(tree) | defined
+    assert "validate" not in defined
 
 
 def test_only_the_front_doors_import_cells():
