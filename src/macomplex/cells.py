@@ -84,7 +84,7 @@ def build(K: SimplicialComplex, cell_limit: int = DEFAULT_CELL_LIMIT) -> MomentA
         raise ResourceError(
             f"at least 2^{n} cells exceed the configured limit of {cell_limit}"
         )
-    faces = sorted(K.face_masks(), key=lambda m: (m.bit_count(), m))
+    faces = K.face_masks()
     total = sum(1 << (n - f.bit_count()) for f in faces)
     if total > cell_limit:
         raise ResourceError(

@@ -1,11 +1,11 @@
 """The elliptic/hyperbolic dichotomy for moment-angle complexes.
 
 Z(K; (D^2, S^1)) is rationally elliptic exactly when the minimal
-non-faces of K are pairwise disjoint; the complex is then a product of
-one odd sphere S^{2|m|-1} per non-face m and an even disk collecting the
-cone vertices.  Any intersecting pair of non-faces produces a full
-subcomplex on which all non-faces pairwise intersect, and that subcomplex
-witnesses hyperbolicity.
+non-faces of K are pairwise disjoint, that is when K is a join of simplex
+boundaries and a simplex; Z is then a product of one odd sphere
+S^{2|m|-1} per non-face m and an even disk collecting the cone vertices.
+Any intersecting pair of non-faces produces a full subcomplex on which all
+non-faces pairwise intersect, and that subcomplex witnesses hyperbolicity.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .complexes import SimplicialComplex, _bits, _MembershipIndex
 from .errors import NotApplicableError
 from .nonfaces import (
     NonfaceFamily,
+    _boundary_join_blocks,
     _facet_skeleton,
     _non_edges,
     _reject_ghosts,
@@ -110,8 +111,8 @@ def find_witness(M: NonfaceFamily) -> tuple[int, NonfaceFamily]:
 def classify(K: SimplicialComplex) -> RationalTypeVerdict:
     """Decide rational ellipticity of Z(K; (D^2, S^1)).
 
-    Purely combinatorial: elliptic iff the minimal non-faces are pairwise
-    disjoint.  The witness is looked for in the 1-skeleton first.  Two
+    Purely combinatorial: elliptic iff ``_boundary_join_blocks`` reads K
+    off its facets as a join of simplex boundaries and a simplex.  Else two
     minimal non-faces with a union of three vertices are two non-edges
     sharing a vertex, since an antichain holds no non-edge inside a
     three-element non-face, and no union is smaller.  So when two non-edges
@@ -119,15 +120,13 @@ def classify(K: SimplicialComplex) -> RationalTypeVerdict:
     family of the enumeration; otherwise all minimal non-faces are listed.
     """
     _reject_ghosts(K)
-    _, _, adjacent = _facet_skeleton(K)
+    _, miss, adjacent = _facet_skeleton(K)
+    blocks = _boundary_join_blocks(miss, (1 << len(K.facets)) - 1)
+    if blocks is not None:
+        dims, disk = elliptic_model(NonfaceFamily(K.n, blocks))
+        return RationalTypeVerdict("elliptic", sphere_dims=dims, disk_dim=disk)
     try:
         witness, family = find_witness(NonfaceFamily(K.n, _non_edges(adjacent)))
     except NotApplicableError:
-        M = minimal_nonfaces(K)
-        try:
-            dims, disk = elliptic_model(M)
-        except NotApplicableError:
-            witness, family = find_witness(M)
-        else:
-            return RationalTypeVerdict("elliptic", sphere_dims=dims, disk_dim=disk)
+        witness, family = find_witness(minimal_nonfaces(K))
     return RationalTypeVerdict("hyperbolic", witness_mask=witness, witness_family=family)

@@ -163,8 +163,7 @@ class SimplicialComplex:
 
     Each facet is given as a vertex mask or a vertex list and stored as a
     mask; the facets are sorted by (cardinality, mask), so structural
-    equality is complex equality.  Instances are immutable and safe to
-    share between threads.
+    equality is complex equality.  Instances are immutable.
     """
 
     __slots__ = ("n", "facets")

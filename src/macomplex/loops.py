@@ -28,7 +28,7 @@ from .complexes import SimplicialComplex
 from .errors import InputError, NotApplicableError, ResourceError
 
 GROWTH_DELTA = 0.05  # a growth ratio is reported only above 1 + GROWTH_DELTA
-MAX_TRUNCATION = 1000  # solver time grows about as N^3: 0.15 s at N = 1000, 1.2 s at 2000
+MAX_TRUNCATION = 1000  # time is the series == target self-check, ~N^3: 0.15 s at N = 1000; the solve: ms
 PRODUCT_CHECK_DEGREE = 32  # free_lie_ranks multiplies its product identity out this far
 
 

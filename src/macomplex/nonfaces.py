@@ -26,7 +26,6 @@ through Berge's enumeration, which ``reconstruct`` also uses.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable
 
 from .complexes import (
@@ -130,7 +129,6 @@ def _minimal_transversals(sets: list[int], universe: int) -> list[int]:
     return sorted(transversals)
 
 
-@functools.lru_cache(maxsize=1)
 def _facet_skeleton(
     K: SimplicialComplex,
 ) -> tuple[_MembershipIndex, tuple[int, ...], tuple[int, ...]]:
@@ -140,9 +138,10 @@ def _facet_skeleton(
     i + 1.  A mask is a face exactly when some facet misses none of its
     vertices, that is when ``index.meeting(mask)`` is not every facet.
     ``adjacent[i]`` is the mask of the vertices that span an edge with
-    vertex i + 1, some facet missing neither (n^2 / 2 ORs).  The last
-    complex's skeleton is kept, as ``classify`` reads it for the 1-skeleton
-    witness and again through ``minimal_nonfaces``; callers only read it.
+    vertex i + 1, some facet missing neither (n^2 / 2 ORs).  ``classify``
+    builds it once for the boundary-join recogniser and the 1-skeleton
+    witness, and again, through ``minimal_nonfaces``, only when neither
+    decides.
     """
     full = (1 << K.n) - 1
     index = _MembershipIndex([full & ~f for f in K.facets])

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from macomplex import (
     SimplicialComplex,
     boundary_simplex,
     classify,
+    cross_polytope,
     cycle,
     elliptic_model,
     find_witness,
@@ -38,6 +40,8 @@ from oracles import (
     rank_within,
     vertices_of,
 )
+
+classify_module = sys.modules["macomplex.classify"]  # the package exports the function under that name
 
 
 def has_meeting_pair(M: NonfaceFamily) -> bool:
@@ -263,7 +267,7 @@ def enumerated_verdict(K: SimplicialComplex) -> RationalTypeVerdict:
 
 @given(
     st.integers(1, 10),
-    st.sampled_from(["flag", "bounded", "reconstruct", "join"]),
+    st.sampled_from(["flag", "bounded", "reconstruct", "join", "boundary"]),
     st.integers(0, 2**32 - 1),
 )
 def test_classify_matches_enumerating_first(n, kind, seed):
@@ -274,6 +278,12 @@ def test_classify_matches_enumerating_first(n, kind, seed):
         K = bounded_complex(rng, n, rng.randint(1, 4))
     elif kind == "reconstruct":
         K = reconstruct(random_family(rng, max(n, 2)))
+    elif kind == "boundary":  # elliptic: the boundary-join recogniser decides it
+        K = boundary_simplex(rng.randint(1, 3))
+        for _ in range(rng.randint(0, 2)):
+            K = join(K, boundary_simplex(rng.randint(1, 3)))
+        if rng.random() < 0.5:
+            K = join(K, simplex(rng.randint(0, 2)))
     else:  # a flag complex joined with simplex boundaries: the witness, if any, is in the flag part
         K = flag_complex(rng, rng.randint(1, 4), 0.5)
         for _ in range(rng.randint(1, 2)):
@@ -322,14 +332,32 @@ def test_verdicts_without_berge(monkeypatch):
     "K",
     [
         join(boundary_simplex(3), boundary_simplex(4)),
-        reconstruct(NonfaceFamily(6, [[1, 2, 3], [3, 4, 5]])),
+        join(join(boundary_simplex(2), boundary_simplex(1)), simplex(2)),
+        cross_polytope(4),
     ],
-    ids=["boundary join", "two meeting triangles"],
+    ids=["boundary join", "boundary join with cone vertices", "cross polytope"],
 )
-def test_classify_builds_the_facet_skeleton_once(K):
-    # no two non-edges meet, so classify goes on to list the minimal
-    # non-faces; the recognisers reuse the 1-skeleton search's index
-    nonfaces._facet_skeleton.cache_clear()
-    classify(K)
-    info = nonfaces._facet_skeleton.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+def test_classify_reads_boundary_joins_off_the_facets(monkeypatch, K):
+    # no two non-edges meet in any of these, so only the recogniser keeps
+    # classify from listing the minimal non-faces
+    expected = enumerated_verdict(K)
+    assert expected.is_elliptic
+
+    def unreachable(K):
+        raise AssertionError("classify listed the minimal non-faces")
+
+    monkeypatch.setattr(classify_module, "minimal_nonfaces", unreachable)
+    assert classify(K) == expected
+
+
+def test_classify_lists_the_nonfaces_when_no_non_edges_meet(monkeypatch):
+    K = reconstruct(NonfaceFamily(6, [[1, 2, 3], [3, 4, 5]]))
+    calls = []
+
+    def counted(K):
+        calls.append(K)
+        return minimal_nonfaces(K)
+
+    monkeypatch.setattr(classify_module, "minimal_nonfaces", counted)
+    assert classify(K) == enumerated_verdict(K)
+    assert calls == [K]

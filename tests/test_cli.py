@@ -318,6 +318,16 @@ REPORT_DIGESTS = [
     # captured while the ranks were solved by multiplying out one series per degree
     ("loop-ranks --truncation 1000", "cycle", 5,
      "b0350e9e1ea3bab2de793b196b253b2c1ad6f83c840a888a6aa09fd36ea2d497"),
+    # captured while the cell engine still pre-sorted the faces by (size, mask) and
+    # classify tried the 1-skeleton witness and Berge before the boundary-join recogniser
+    ("oracle-betti --dump-cells", "cycle", 6,
+     "0a4f9bc491da17f04ecf0d2f7a6d43fb5dec415a3ff10fb96557082b2f4d1f7c"),
+    ("oracle-betti --dump-cells", "cross_polytope", 3,
+     "997a9f4530ef4c807a22c1dd819d1dc7dc8db50a365c4ddd934356f6a25e5037"),
+    ("classify", "cross_polytope", 4,
+     "85ddab902f23d4d8458074af7b9767addd7dee4fc45a5c2a3e02dc1e358d5513"),
+    ("classify", "boundary", 5,
+     "0b2e2d01302e77b0062d80fc60c32d9844ddea5219bc8266cdbca06fba5a2d61"),
 ]
 
 
