@@ -17,7 +17,7 @@ from .errors import NotApplicableError
 from .nonfaces import (
     NonfaceFamily,
     _boundary_join_blocks,
-    _facet_skeleton,
+    _neighbours,
     _non_edges,
     _reject_ghosts,
     minimal_nonfaces,
@@ -120,13 +120,12 @@ def classify(K: SimplicialComplex) -> RationalTypeVerdict:
     family of the enumeration; otherwise all minimal non-faces are listed.
     """
     _reject_ghosts(K)
-    _, miss, adjacent = _facet_skeleton(K)
-    blocks = _boundary_join_blocks(miss, (1 << len(K.facets)) - 1)
+    blocks = _boundary_join_blocks(K)
     if blocks is not None:
         dims, disk = elliptic_model(NonfaceFamily(K.n, blocks))
         return RationalTypeVerdict("elliptic", sphere_dims=dims, disk_dim=disk)
     try:
-        witness, family = find_witness(NonfaceFamily(K.n, _non_edges(adjacent)))
+        witness, family = find_witness(NonfaceFamily(K.n, _non_edges(_neighbours(K))))
     except NotApplicableError:
         witness, family = find_witness(minimal_nonfaces(K))
     return RationalTypeVerdict("hyperbolic", witness_mask=witness, witness_family=family)

@@ -10,15 +10,16 @@ cut out by a family of non-faces are the complements of the family's
 minimal transversals.
 
 Two kinds of complex give their minimal non-faces without that
-enumeration, read off ``miss[v]``, the bitset of the facets that miss
-vertex v (an index over the facet complements, built in
-O(sum |facet complement|) steps):
+enumeration, each recogniser reading only what it needs off the facets:
 
 * a join of simplex boundaries and a simplex,
   ∂Δ(B_1) * ... * ∂Δ(B_k) * Δ(C), whose non-faces are the blocks B_i,
-  recognised with O(n^2) big-integer operations;
-* a flag complex, whose non-faces are the non-edges, recognised with at
-  most |facets| * n face tests.
+  read off ``miss[v]``, the bitset of the facets that miss vertex v (an
+  index over the facet complements, O(sum |facet complement|) steps),
+  with O(n^2) big-integer operations;
+* a flag complex, whose non-faces are the non-edges, read off the
+  1-skeleton (the union of the facets at each vertex, sum |F| ORs) with
+  at most |facets| * n face tests.
 
 Every other complex, and every complex with a vertex in no facet, goes
 through Berge's enumeration, which ``reconstruct`` also uses.
@@ -129,42 +130,30 @@ def _minimal_transversals(sets: list[int], universe: int) -> list[int]:
     return sorted(transversals)
 
 
-def _facet_skeleton(
-    K: SimplicialComplex,
-) -> tuple[_MembershipIndex, tuple[int, ...], tuple[int, ...]]:
-    """The facet complements indexed by vertex, ``miss`` and ``adjacent``.
+def _neighbours(K: SimplicialComplex) -> list[int]:
+    """``near[i]``, the union of the facets that hold vertex i + 1.
 
-    ``miss[i]`` is the bitset of the indices of the facets that miss vertex
-    i + 1.  A mask is a face exactly when some facet misses none of its
-    vertices, that is when ``index.meeting(mask)`` is not every facet.
-    ``adjacent[i]`` is the mask of the vertices that span an edge with
-    vertex i + 1, some facet missing neither (n^2 / 2 ORs).  ``classify``
-    builds it once for the boundary-join recogniser and the 1-skeleton
-    witness, and again, through ``minimal_nonfaces``, only when neither
-    decides.
+    Two vertices span an edge exactly when some facet holds both, so
+    ``near[i]`` is vertex i + 1 and its neighbours in the 1-skeleton, and 0
+    for a vertex in no facet.  sum |F| ORs.
     """
-    full = (1 << K.n) - 1
-    index = _MembershipIndex([full & ~f for f in K.facets])
-    miss = [index.meeting(1 << i) for i in range(K.n)]
-    every = (1 << len(K.facets)) - 1
-    adjacent = [0] * K.n
-    for i, mi in enumerate(miss):
-        for j in range(i + 1, K.n):
-            if mi | miss[j] != every:
-                adjacent[i] |= 1 << j
-                adjacent[j] |= 1 << i
-    return index, tuple(miss), tuple(adjacent)
+    near = [0] * K.n
+    for f in K.facets:
+        for v in _bits(f):
+            near[v - 1] |= f
+    return near
 
 
-def _non_edges(adjacent: tuple[int, ...]) -> list[int]:
+def _non_edges(near: list[int]) -> list[int]:
     """Masks of the vertex pairs that span no edge, ascending.
 
-    Ascending masks order the pairs by their higher vertex, then their lower.
+    ``near`` is ``_neighbours(K)``.  Ascending masks order the pairs by
+    their higher vertex, then their lower.
     """
     pairs = []
-    for i, near in enumerate(adjacent):
+    for i, around in enumerate(near):
         high = 1 << i
-        lower = (high - 1) & ~near
+        lower = (high - 1) & ~around
         while lower:
             low = lower & -lower
             pairs.append(high | low)
@@ -172,14 +161,14 @@ def _non_edges(adjacent: tuple[int, ...]) -> list[int]:
     return pairs
 
 
-def _boundary_join_blocks(miss: tuple[int, ...], every: int) -> list[int] | None:
+def _boundary_join_blocks(K: SimplicialComplex) -> list[int] | None:
     """The blocks B_i when K is ∂Δ(B_1) * ... * ∂Δ(B_k) * Δ(C), else None.
 
-    ``miss`` is ``_facet_skeleton``'s tuple for a complex without ghost
-    vertices, and ``every`` the bitset of all its facets.  The cone
-    vertices C lie in every facet.  Each other vertex v gets the block of v
-    and the vertices whose miss sets are disjoint from v's.  K is such a
-    join exactly when within each block the miss sets are pairwise
+    K has no ghost vertex.  ``miss[i]``, the bitset of the facets that miss
+    vertex i + 1, is read off an index over the facet complements.  The
+    cone vertices C lie in every facet.  Each other vertex v gets the block
+    of v and the vertices whose miss sets are disjoint from v's.  K is such
+    a join exactly when within each block the miss sets are pairwise
     disjoint and cover every facet, so that each facet misses exactly one
     vertex of each block, and every choice of one vertex per block is the
     part some facet misses.  A facet is fixed by the choice it misses, so
@@ -187,7 +176,11 @@ def _boundary_join_blocks(miss: tuple[int, ...], every: int) -> list[int] | None
     product above it leaves equality, so every choice is taken.  O(n^2)
     big-integer operations.
     """
-    facets = every.bit_count()
+    full = (1 << K.n) - 1
+    index = _MembershipIndex([full & ~f for f in K.facets])
+    miss = [index.meeting(1 << i) for i in range(K.n)]
+    facets = len(K.facets)
+    every = (1 << facets) - 1
     rest = 0
     for i, m in enumerate(miss):
         if m:
@@ -213,9 +206,7 @@ def _boundary_join_blocks(miss: tuple[int, ...], every: int) -> list[int] | None
     return blocks
 
 
-def _flag_non_edges(
-    facets: tuple[int, ...], index: _MembershipIndex, adjacent: tuple[int, ...], every: int
-) -> list[int] | None:
+def _flag_non_edges(K: SimplicialComplex) -> list[int] | None:
     """The non-edges when K is a flag complex, else None.
 
     K is flag exactly when, for every facet F and vertex v outside it,
@@ -225,18 +216,20 @@ def _flag_non_edges(
     is a clique of the 1-skeleton, so only larger ones are looked up, each
     once; at most |facets| * n face tests, stopping at the first non-face.
     """
-    full = (1 << len(adjacent)) - 1
+    near = _neighbours(K)
+    index = _MembershipIndex(K.facets)
+    full = (1 << K.n) - 1
     looked_up = set()
-    for f in facets:
+    for f in K.facets:
         for v in _bits(full & ~f):
-            inner = f & adjacent[v - 1]
+            inner = f & near[v - 1]
             if inner & (inner - 1):
                 sigma = inner | 1 << (v - 1)
                 if sigma not in looked_up:
-                    if index.meeting(sigma) == every:
+                    if not index.containing(sigma):
                         return None
                     looked_up.add(sigma)
-    return _non_edges(adjacent)
+    return _non_edges(near)
 
 
 def _minimal_nonface_masks(K: SimplicialComplex) -> list[int]:
@@ -249,14 +242,11 @@ def _minimal_nonface_masks(K: SimplicialComplex) -> list[int]:
     """
     full = (1 << K.n) - 1
     if K.covered_vertices() == full:
-        index, miss, adjacent = _facet_skeleton(K)
-        every = (1 << len(K.facets)) - 1
-        blocks = _boundary_join_blocks(miss, every)
-        if blocks is not None:
-            return blocks
-        non_edges = _flag_non_edges(K.facets, index, adjacent, every)
-        if non_edges is not None:
-            return non_edges
+        recognised = _boundary_join_blocks(K)
+        if recognised is None:
+            recognised = _flag_non_edges(K)
+        if recognised is not None:
+            return recognised
     return _minimal_transversals([full & ~f for f in K.facets], full)
 
 

@@ -328,6 +328,23 @@ REPORT_DIGESTS = [
      "85ddab902f23d4d8458074af7b9767addd7dee4fc45a5c2a3e02dc1e358d5513"),
     ("classify", "boundary", 5,
      "0b2e2d01302e77b0062d80fc60c32d9844ddea5219bc8266cdbca06fba5a2d61"),
+    # captured while one facet skeleton (miss sets and an n^2/2-OR adjacency) served every
+    # recogniser; seed 2 is a flag complex with a triangle (flag recogniser), seed 8 goes
+    # to Berge with two meeting non-edges (the 1-skeleton witness), and seed 4 goes to
+    # Berge with no two non-edges meeting (classify lists every minimal non-face)
+    ("nonfaces", "random --seed 2", 10,
+     "781d7d70603d0012f94388faa8d005d225712c78b866ab6bae679ddb3a79c93b"),
+    ("classify", "random --seed 2", 10,
+     "02de52b818dcbaf82ddbb567764c940f2ecb99a5e5a1a782b8c3de2e519991fb"),
+    ("nonfaces", "random --seed 8", 10,
+     "b16023999a9fc76f6a32fb5d621c0de2a534102c39a950fecc82ce07e680337a"),
+    ("classify", "random --seed 8", 10,
+     "30461fdbf00b67a90c1b30fdfb4f60751858e316040c436c4253cadb334aa2e3"),
+    ("nonfaces", "random --seed 4", 10,
+     "3eb2fe8bb11c7a0d4288a88cea787c4f785ec01426102147b0b03d0906a70331"),
+    ("classify", "random --seed 4", 10,
+     "0c9f392dfd32fc619d308e8d7caec018b5d4c4236285df79904c4b5912eade83"),
+    ("nonfaces", "cycle", 20, "56faa3bee35c56d6680b795683f8f37828b9f8160047957cb6d7e30c41596f62"),
 ]
 
 

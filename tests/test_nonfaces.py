@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from macomplex import (
@@ -21,8 +21,9 @@ from macomplex import (
     support,
 )
 from macomplex import nonfaces
-from macomplex.nonfaces import _minimal_nonface_masks, _minimal_transversals
+from macomplex.nonfaces import _minimal_nonface_masks, _minimal_transversals, _neighbours
 from oracles import (
+    brute_faces,
     brute_minimal_nonfaces,
     brute_reconstruct_facets,
     enumerate_complexes,
@@ -304,10 +305,17 @@ def recognised_nonfaces(K: SimplicialComplex) -> list[int]:
     st.lists(st.integers(0, 1023), max_size=8),
     st.integers(0, 1023),
 )
+@example(0, [], 0)
 def test_nonface_masks_match_berge_with_ghost_vertices(n, masks, ghosts):
     full = (1 << n) - 1
     K = SimplicialComplex(n, [m & full & ~ghosts for m in masks])
     assert _minimal_nonface_masks(K) == berge_nonfaces(K)
+    # the 1-skeleton: bit u - 1 of near[v - 1] is set exactly when {u, v} is a face,
+    # u = v included, so a ghost vertex gets 0
+    faces = brute_faces(K)
+    near = [sum(1 << (u - 1) for u in range(1, n + 1) if frozenset({u, v}) in faces)
+            for v in range(1, n + 1)]
+    assert _neighbours(K) == near
 
 
 @given(st.integers(1, 10), st.sampled_from([0.3, 0.5, 0.7, 1.0]), st.integers(0, 2**32 - 1))

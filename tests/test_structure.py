@@ -6,6 +6,8 @@ and of the last only ``rank_sparse``, and nothing but the front doors uses
 it.  The d∘d checks are test oracles, so no module defines ``validate``.  The dense Fraction routines of
 ``linalg`` are the tests' reference and have no caller in the package.
 ``__all__`` names exactly the public API, and the README's quick start runs.
+No module other than ``__init__`` imports a name it never reads, and every
+module-level private function or class is read somewhere in the package.
 """
 
 import ast
@@ -52,6 +54,47 @@ def names_used(tree) -> set[str]:
         elif isinstance(node, ast.alias):
             out.add(node.name.split(".")[-1])
     return out
+
+
+def names_read(tree) -> set[str]:
+    """The identifiers a module reads: loaded variables and attribute names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def names_imported(tree) -> set[str]:
+    """The names a module's imports bind, ``from __future__`` aside."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(set(MODULES) - {"__init__"}))
+def test_no_module_imports_a_name_it_never_reads(name):
+    tree = MODULES[name]
+    assert names_imported(tree) - names_read(tree) == set()
+
+
+def test_every_private_function_and_class_is_read():
+    read = set().union(*map(names_read, MODULES.values()))
+    unread = {
+        f"{name}.{node.name}"
+        for name, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and node.name not in read
+    }
+    assert unread == set()
 
 
 def test_cells_imports_only_the_rank_layer_and_below():
