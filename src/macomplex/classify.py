@@ -17,9 +17,9 @@ from .errors import NotApplicableError
 from .nonfaces import (
     NonfaceFamily,
     _boundary_join_blocks,
-    _neighbours,
     _non_edges,
     _reject_ghosts,
+    _unions_by_vertex,
     minimal_nonfaces,
     restrict_family,
     support,
@@ -125,7 +125,7 @@ def classify(K: SimplicialComplex) -> RationalTypeVerdict:
         dims, disk = elliptic_model(NonfaceFamily(K.n, blocks))
         return RationalTypeVerdict("elliptic", sphere_dims=dims, disk_dim=disk)
     try:
-        witness, family = find_witness(NonfaceFamily(K.n, _non_edges(_neighbours(K))))
+        witness, family = find_witness(NonfaceFamily(K.n, _non_edges(_unions_by_vertex(K.facets, K.n))))
     except NotApplicableError:
         witness, family = find_witness(minimal_nonfaces(K))
     return RationalTypeVerdict("hyperbolic", witness_mask=witness, witness_family=family)

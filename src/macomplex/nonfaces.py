@@ -13,10 +13,14 @@ Two kinds of complex give their minimal non-faces without that
 enumeration, each recogniser reading only what it needs off the facets:
 
 * a join of simplex boundaries and a simplex,
-  ∂Δ(B_1) * ... * ∂Δ(B_k) * Δ(C), whose non-faces are the blocks B_i,
-  read off ``miss[v]``, the bitset of the facets that miss vertex v (an
-  index over the facet complements, O(sum |facet complement|) steps),
-  with O(n^2) big-integer operations;
+  ∂Δ(B_1) * ... * ∂Δ(B_k) * Δ(C), whose non-faces are the blocks B_i.
+  Its shape is tested first, in O(1): every facet misses k vertices, one
+  per block, and there are at least 2^k facets.  Then v's block is v and
+  the missed vertices that no facet complement holding v also holds, read
+  off the union of those complements (sum |facet complement| ORs).  The
+  vertices of one complement lie in distinct blocks, so k blocks whose
+  sizes multiply to the facet count make every choice of one vertex per
+  block a facet complement, and the blocks disjoint;
 * a flag complex, whose non-faces are the non-edges, read off the
   1-skeleton (the union of the facets at each vertex, sum |F| ORs) with
   at most |facets| * n face tests.
@@ -27,6 +31,7 @@ through Berge's enumeration, which ``reconstruct`` also uses.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 from .complexes import (
@@ -130,25 +135,27 @@ def _minimal_transversals(sets: list[int], universe: int) -> list[int]:
     return sorted(transversals)
 
 
-def _neighbours(K: SimplicialComplex) -> list[int]:
-    """``near[i]``, the union of the facets that hold vertex i + 1.
+def _unions_by_vertex(sets: Iterable[int], n: int) -> list[int]:
+    """``out[v - 1]``, the union of the masks in ``sets`` that hold vertex v.
 
-    Two vertices span an edge exactly when some facet holds both, so
-    ``near[i]`` is vertex i + 1 and its neighbours in the 1-skeleton, and 0
-    for a vertex in no facet.  sum |F| ORs.
+    0 for a vertex in none of them.  Over the facets of K this is the
+    1-skeleton: two vertices span an edge exactly when some facet holds
+    both, so ``out[v - 1]`` is v and its neighbours.  sum |s| ORs.
     """
-    near = [0] * K.n
-    for f in K.facets:
-        for v in _bits(f):
-            near[v - 1] |= f
-    return near
+    out = [0] * n
+    for s in sets:
+        for v in _bits(s):
+            out[v - 1] |= s
+    return out
 
 
 def _non_edges(near: list[int]) -> list[int]:
     """Masks of the vertex pairs that span no edge, ascending.
 
-    ``near`` is ``_neighbours(K)``.  Ascending masks order the pairs by
-    their higher vertex, then their lower.
+    ``near`` is the 1-skeleton, ``_unions_by_vertex(K.facets, K.n)``: bit
+    u - 1 of ``near[v - 1]`` is set exactly when {u, v} is a face.
+    Ascending masks order the pairs by their higher vertex, then their
+    lower.
     """
     pairs = []
     for i, around in enumerate(near):
@@ -164,46 +171,33 @@ def _non_edges(near: list[int]) -> list[int]:
 def _boundary_join_blocks(K: SimplicialComplex) -> list[int] | None:
     """The blocks B_i when K is ∂Δ(B_1) * ... * ∂Δ(B_k) * Δ(C), else None.
 
-    K has no ghost vertex.  ``miss[i]``, the bitset of the facets that miss
-    vertex i + 1, is read off an index over the facet complements.  The
-    cone vertices C lie in every facet.  Each other vertex v gets the block
-    of v and the vertices whose miss sets are disjoint from v's.  K is such
-    a join exactly when within each block the miss sets are pairwise
-    disjoint and cover every facet, so that each facet misses exactly one
-    vertex of each block, and every choice of one vertex per block is the
-    part some facet misses.  A facet is fixed by the choice it misses, so
-    the facet count is at most the product of the block sizes; refusing a
-    product above it leaves equality, so every choice is taken.  O(n^2)
-    big-integer operations.
+    K has no ghost vertex.  In such a join every facet misses one vertex of
+    each block, so K is pure with k = n - |smallest facet|, and it has at
+    least 2^k facets; K is declined in O(1) unless both hold.  Then
+    ``together[v - 1]`` is the union of the facet complements that hold v,
+    and each missed vertex v gets the block of v and the missed vertices
+    never missed together with it.  The vertices of a complement are
+    pairwise missed together, so its k vertices lie in k distinct blocks,
+    one in each block; so when there are exactly k blocks, each complement
+    is one choice of a vertex per block, and distinct facets make distinct
+    choices.  Overlapping blocks would leave fewer choices than the product
+    of the block sizes; so a facet count equal to that product makes the
+    blocks disjoint and every choice a facet, which is the join.
+    sum |facet complement| ORs.
     """
-    full = (1 << K.n) - 1
-    index = _MembershipIndex([full & ~f for f in K.facets])
-    miss = [index.meeting(1 << i) for i in range(K.n)]
-    facets = len(K.facets)
-    every = (1 << facets) - 1
+    n, facets = K.n, K.facets
+    k = n - facets[0].bit_count()
+    if facets[-1].bit_count() != n - k or len(facets) < 1 << k:
+        return None
+    full = (1 << n) - 1
+    together = _unions_by_vertex([full & ~f for f in facets], n)
     rest = 0
-    for i, m in enumerate(miss):
-        if m:
-            rest |= 1 << i
-    blocks = []
-    product = 1
-    while rest:
-        low = rest & -rest
-        mv = miss[low.bit_length() - 1]
-        block, cover, total = low, mv, mv.bit_count()
-        for v in _bits(rest ^ low):
-            mu = miss[v - 1]
-            if not mu & mv:
-                block |= 1 << (v - 1)
-                cover |= mu
-                total += mu.bit_count()
-        product *= block.bit_count()
-        if cover != every or total != facets or product > facets:
-            return None
-        blocks.append(block)
-        rest ^= block
-    blocks.sort()
-    return blocks
+    for t in together:
+        rest |= t
+    blocks = {rest & ~together[v - 1] | 1 << (v - 1) for v in _bits(rest)}
+    if len(blocks) != k or math.prod(b.bit_count() for b in blocks) != len(facets):
+        return None
+    return sorted(blocks)
 
 
 def _flag_non_edges(K: SimplicialComplex) -> list[int] | None:
@@ -216,7 +210,7 @@ def _flag_non_edges(K: SimplicialComplex) -> list[int] | None:
     is a clique of the 1-skeleton, so only larger ones are looked up, each
     once; at most |facets| * n face tests, stopping at the first non-face.
     """
-    near = _neighbours(K)
+    near = _unions_by_vertex(K.facets, K.n)
     index = _MembershipIndex(K.facets)
     full = (1 << K.n) - 1
     looked_up = set()

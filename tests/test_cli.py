@@ -345,6 +345,12 @@ REPORT_DIGESTS = [
     ("classify", "random --seed 4", 10,
      "0c9f392dfd32fc619d308e8d7caec018b5d4c4236285df79904c4b5912eade83"),
     ("nonfaces", "cycle", 20, "56faa3bee35c56d6680b795683f8f37828b9f8160047957cb6d7e30c41596f62"),
+    # captured while the boundary-join recogniser read the blocks off an index of the
+    # facet complements; 2^6 facets, the equality case of its facet-count gate
+    ("nonfaces", "cross_polytope", 6,
+     "9cdf4631ed5fa1030b3f430edb1fd204ad203c7bae0a2abe93482b662bba1222"),
+    ("classify", "cross_polytope", 6,
+     "0a6896230030524be5149cc079794c1fc49ace3bde55017cf092b4dc470f25ac"),
 ]
 
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -21,7 +23,12 @@ from macomplex import (
     support,
 )
 from macomplex import nonfaces
-from macomplex.nonfaces import _minimal_nonface_masks, _minimal_transversals, _neighbours
+from macomplex.nonfaces import (
+    _boundary_join_blocks,
+    _minimal_nonface_masks,
+    _minimal_transversals,
+    _unions_by_vertex,
+)
 from oracles import (
     brute_faces,
     brute_minimal_nonfaces,
@@ -29,6 +36,7 @@ from oracles import (
     enumerate_complexes,
     facet_sets,
     flag_complex,
+    mask_of,
     random_family,
     relabel_facets,
     vertices_of,
@@ -315,7 +323,7 @@ def test_nonface_masks_match_berge_with_ghost_vertices(n, masks, ghosts):
     faces = brute_faces(K)
     near = [sum(1 << (u - 1) for u in range(1, n + 1) if frozenset({u, v}) in faces)
             for v in range(1, n + 1)]
-    assert _neighbours(K) == near
+    assert _unions_by_vertex(K.facets, n) == near
 
 
 @given(st.integers(1, 10), st.sampled_from([0.3, 0.5, 0.7, 1.0]), st.integers(0, 2**32 - 1))
@@ -350,6 +358,8 @@ def relabelled_boundary_join(sizes, cone, seed):
     st.integers(0, 3),
     st.integers(0, 2**32 - 1),
 )
+@example([2, 2, 2, 2], 0, 0)  # the cross polytope: exactly 2^k facets
+@example([2, 2, 2, 2], 3, 1)
 def test_boundary_joins_are_recognised(sizes, cone, seed):
     K, blocks = relabelled_boundary_join(sizes, cone, seed)
     assert berge_nonfaces(K) == blocks
@@ -361,6 +371,7 @@ def test_boundary_joins_are_recognised(sizes, cone, seed):
     st.integers(0, 2),
     st.integers(0, 2**32 - 1),
 )
+@example([2, 2, 2], 0, 0)  # 2^k - 1 facets: the gate declines
 def test_boundary_join_without_a_facet_matches_berge(sizes, cone, seed):
     K, _ = relabelled_boundary_join(sizes, cone, seed)
     facets = list(K.facets)
@@ -369,6 +380,35 @@ def test_boundary_join_without_a_facet_matches_berge(sizes, cone, seed):
         return
     near = SimplicialComplex(K.n, facets)
     assert _minimal_nonface_masks(near) == berge_nonfaces(near)
+
+
+@st.composite
+def pure_complexes_past_the_join_gate(draw):
+    """Facets drawn from the (n - k)-subsets of 1..n, at least 2^k of them,
+    sometimes with one random extra facet, which may break purity."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(0, n - 1).filter(lambda k: math.comb(n, k) >= 1 << k))
+    subsets = [mask_of(c) for c in itertools.combinations(range(1, n + 1), n - k)]
+    facets = draw(st.lists(st.sampled_from(subsets), min_size=1 << k, unique=True))
+    extra = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=1))
+    return SimplicialComplex(n, facets + extra)
+
+
+@given(pure_complexes_past_the_join_gate())
+# not pure: without the purity test this reads as blocks {1, 2}, {3, 4}, {5, 6}, but Berge
+# gives nine 4-sets
+@example(SimplicialComplex(6, [[1, 3, 5], [2, 4, 6], [1, 2, 4, 5], [2, 3, 4, 5], [1, 2, 3, 6],
+                               [1, 3, 4, 6], [2, 3, 5, 6], [1, 4, 5, 6]]))
+# pure with k = 3, but seven blocks, whose sizes multiply to the 12 facets
+@example(SimplicialComplex(7, [[1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 4, 5], [2, 3, 5, 6], [1, 4, 5, 6],
+                               [2, 4, 5, 6], [1, 2, 3, 7], [1, 3, 4, 7], [1, 4, 5, 7], [3, 4, 5, 7],
+                               [2, 3, 6, 7], [1, 4, 6, 7]]))
+def test_boundary_join_gate_matches_berge(K):
+    expected = berge_nonfaces(K)
+    assert _minimal_nonface_masks(K) == expected
+    if K.covered_vertices() == (1 << K.n) - 1:
+        disjoint = all(a & b == 0 for a, b in itertools.combinations(expected, 2))
+        assert (_boundary_join_blocks(K) is not None) == disjoint
 
 
 @given(st.integers(3, 10), st.sampled_from([0.5, 0.7, 0.9]), st.integers(0, 2**32 - 1))
