@@ -7,7 +7,7 @@ intersect), and verifies the verdict with two independent cohomology
 engines plus a rational homotopy rank calculator.
 """
 
-from .cells import MomentAngleCellComplex, build, oracle_betti
+from .cells import MomentAngleCellComplex, build
 from .classify import RationalTypeVerdict, classify, elliptic_model, find_witness
 from .cohomology import (
     CochainComplexQ,
@@ -45,7 +45,6 @@ from .nonfaces import (
     NonfaceFamily,
     minimal_nonfaces,
     reconstruct,
-    relabel_family,
     restrict_family,
     support,
 )
@@ -82,11 +81,9 @@ __all__ = [
     "is_trivial_ring",
     "join",
     "minimal_nonfaces",
-    "oracle_betti",
     "product_ranks",
     "random_complex",
     "reconstruct",
-    "relabel_family",
     "restrict_family",
     "simplex",
     "star_product",

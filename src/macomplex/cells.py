@@ -45,7 +45,7 @@ class MomentAngleCellComplex:
         return len(self.cells) - 1
 
     def betti_numbers(self) -> list[int]:
-        """Rational Betti numbers by degree, trailing zeros trimmed."""
+        """Rational Betti numbers by degree, trailing zeros trimmed; degree 0 is always 1."""
         top = self.top_dimension
         ranks = [0] * (top + 2)
         for d in range(top + 1):
@@ -53,6 +53,7 @@ class MomentAngleCellComplex:
         betti = [len(self.cells[d]) - ranks[d] - ranks[d + 1] for d in range(top + 1)]
         while len(betti) > 1 and betti[-1] == 0:
             betti.pop()
+        assert betti[0] == 1, "moment-angle complexes are connected"
         return betti
 
     def to_json_dict(self) -> dict:
@@ -114,9 +115,3 @@ def build(K: SimplicialComplex, cell_limit: int = DEFAULT_CELL_LIMIT) -> MomentA
             boundaries[d].append(row)
     return MomentAngleCellComplex(cells, boundaries)
 
-
-def oracle_betti(C: MomentAngleCellComplex) -> list[int]:
-    """Betti numbers of the cell complex; degree 0 is always 1."""
-    betti = C.betti_numbers()
-    assert betti[0] == 1, "moment-angle complexes are connected"
-    return betti

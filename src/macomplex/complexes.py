@@ -174,11 +174,6 @@ class SimplicialComplex:
         self.n = n
         self.facets = tuple(_maximal_masks(masks))
 
-    def is_face(self, sigma: int) -> bool:
-        """True iff the mask ``sigma`` lies in some facet; the empty set always does."""
-        _check_mask(sigma, self.n, "face")
-        return any(sigma & ~f == 0 for f in self.facets)
-
     def covered_vertices(self) -> int:
         """Mask of the vertices that lie in some facet."""
         mask = 0

@@ -116,7 +116,7 @@ def _product_series(ranks, M: int) -> list[int]:
     return series
 
 
-def free_lie_ranks(model: SphereModel, N: int = 24) -> tuple[int, ...]:
+def free_lie_ranks(model: SphereModel, N: int) -> tuple[int, ...]:
     """Ranks of a wedge of spheres: ``ranks[k]`` = l_k for 0 <= k <= N, l_0 = 0.
 
     One pass over the degrees: ``L[n]`` collects sum k l_k e(k, n) over the
@@ -159,7 +159,7 @@ def free_lie_ranks(model: SphereModel, N: int = 24) -> tuple[int, ...]:
     return tuple(ranks)
 
 
-def product_ranks(model: SphereModel, N: int = 24) -> tuple[int, ...]:
+def product_ranks(model: SphereModel, N: int) -> tuple[int, ...]:
     """Ranks of a product of odd spheres: ``ranks[k]`` = l_k for 0 <= k <= N.
 
     Each sphere S^d gives one class, l_{d-1} += 1; l_0 = 0.

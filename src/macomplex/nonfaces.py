@@ -39,7 +39,6 @@ from .complexes import (
     _bits,
     _check_mask,
     _check_vertex_count,
-    _compress_mask,
     _mask_of,
     _maximal_masks,
     _MembershipIndex,
@@ -293,11 +292,3 @@ def restrict_family(M: NonfaceFamily, I: int) -> NonfaceFamily:
     _check_mask(I, M.n, "subset")
     return NonfaceFamily(M.n, [m for m in M.members if m & ~I == 0])
 
-
-def relabel_family(M: NonfaceFamily, I: int) -> NonfaceFamily:
-    """Rank-relabel a family whose members all lie in the mask ``I`` onto 1..|I|."""
-    _check_mask(I, M.n, "subset")
-    for m in M.members:
-        if m & ~I:
-            raise InputError(f"member {list(_bits(m))} is not contained in I")
-    return NonfaceFamily(I.bit_count(), [_compress_mask(m, I) for m in M.members])

@@ -43,10 +43,6 @@ def brute_faces(K: SimplicialComplex) -> set[frozenset]:
     return faces
 
 
-def brute_is_face(K: SimplicialComplex, vertices) -> bool:
-    return frozenset(vertices) in brute_faces(K)
-
-
 def brute_minimal_nonfaces(K: SimplicialComplex) -> set[frozenset]:
     """Subsets that are not faces although every proper subset is.
 

@@ -27,11 +27,9 @@ from macomplex import (
     is_trivial_ring,
     join,
     minimal_nonfaces,
-    oracle_betti,
     product_ranks,
     random_complex,
     reconstruct,
-    relabel_family,
     restrict_family,
     simplex,
     star_product_scan,
@@ -61,7 +59,7 @@ def test_criterion_01_sphere_law():
         assert verdict.disk_dim == 0
         expected = [1] + [0] * (2 * k) + [1]
         assert hochster_betti(K) == expected
-        assert oracle_betti(build(K)) == expected
+        assert build(K).betti_numbers() == expected
         assert time.monotonic() - start < 1.0
 
 
@@ -75,7 +73,7 @@ def test_criterion_02_disk_law():
         assert verdict.sphere_dims == ()
         assert verdict.disk_dim == 2 * k + 2
         assert hochster_betti(K) == [1]
-        assert oracle_betti(build(K)) == [1]
+        assert build(K).betti_numbers() == [1]
         assert time.monotonic() - start < 1.0
 
 
@@ -92,9 +90,9 @@ def test_criterion_03_product_law():
         else:
             K1 = random_complex(n1, seed=2 * i)
         K2 = random_complex(n2, seed=2 * i + 1)
-        b1 = oracle_betti(build(K1))
-        b2 = oracle_betti(build(K2))
-        assert oracle_betti(build(join(K1, K2))) == convolve(b1, b2), (K1, K2)
+        b1 = build(K1).betti_numbers()
+        b2 = build(K2).betti_numbers()
+        assert build(join(K1, K2)).betti_numbers() == convolve(b1, b2), (K1, K2)
         pairs += 1
     assert pairs >= 50
     assert time.monotonic() - start < 300.0
@@ -124,7 +122,7 @@ def test_criterion_05_restriction_equality():
         K = reconstruct(M)
         for I in range(1 << n):
             lhs = full_subcomplex(K, I)
-            rhs = reconstruct(relabel_family(restrict_family(M, I), I))
+            rhs = full_subcomplex(reconstruct(restrict_family(M, I)), I)
             assert lhs == rhs, (M, vertices_of(I))
 
 
@@ -179,7 +177,7 @@ def test_criterion_08_engine_agreement():
             key = canonical_key(K)
             if key not in betti_of_class:
                 h = hochster_betti(K)
-                o = oracle_betti(build(K))
+                o = build(K).betti_numbers()
                 assert h == o, (K, h, o)
                 if K.covered_vertices().bit_count() == K.n:
                     padded = h + [0, 0]
@@ -187,12 +185,12 @@ def test_criterion_08_engine_agreement():
                 betti_of_class[key] = h
             if labeled % 50 == 0:  # tether the dedup to direct computation
                 assert hochster_betti(K) == betti_of_class[key], K
-                assert oracle_betti(build(K)) == betti_of_class[key], K
+                assert build(K).betti_numbers() == betti_of_class[key], K
     assert labeled == 1 + 2 + 5 + 19 + 167 + 7580
     for i in range(200):
         K = random_complex(rng.randint(1, 7), seed=20_000 + i)
         h = hochster_betti(K)
-        assert h == oracle_betti(build(K)), K
+        assert h == build(K).betti_numbers(), K
         padded = h + [0, 0]
         assert padded[1] == 0 and padded[2] == 0, (K, h)
     assert time.monotonic() - start < 600.0

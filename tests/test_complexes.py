@@ -1,5 +1,3 @@
-import re
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,12 +16,11 @@ from macomplex import (
     join,
     product_ranks,
     random_complex,
-    relabel_family,
     restrict_family,
     simplex,
 )
 from macomplex.complexes import _mask_of, _maximal_masks
-from oracles import brute_faces, brute_is_face, facet_sets, mask_of, vertices_of
+from oracles import brute_faces, facet_sets, mask_of, vertices_of
 
 
 def test_vertexset_range_validation():
@@ -62,10 +59,8 @@ M4 = NonfaceFamily(N, [[1, 3], [2, 4]])
 MASK_TAKERS = {
     "SimplicialComplex": lambda m: SimplicialComplex(N, [m]),
     "NonfaceFamily": lambda m: NonfaceFamily(N, [m]),
-    "is_face": lambda m: C4.is_face(m),
     "full_subcomplex": lambda m: full_subcomplex(C4, m),
     "restrict_family": lambda m: restrict_family(M4, m),
-    "relabel_family": lambda m: relabel_family(M4, m),
 }
 
 
@@ -95,16 +90,12 @@ ARGUMENT_CHECKS = {
         "truncation must be at least 1",
     ),
     "product_ranks_of_a_wedge": (
-        lambda: product_ranks(SphereModel("wedge", (3, 3))),
+        lambda: product_ranks(SphereModel("wedge", (3, 3)), 24),
         "only apply to product models",
     ),
     "product_ranks_truncation": (
         lambda: product_ranks(SphereModel("product", (5,)), 3),
         "truncation too small to hold every sphere's class",
-    ),
-    "relabel_family": (
-        lambda: relabel_family(M4, 0b0101),
-        re.escape("member [2, 4] is not contained in I"),
     ),
 }
 
@@ -151,29 +142,7 @@ def test_canonical_order_and_equality():
 def test_empty_complex_has_empty_face():
     K = SimplicialComplex(2, [])
     assert facet_sets(K) == {frozenset()}
-    assert K.is_face(0)
-    assert not K.is_face(0b1)
-
-
-def test_is_face_examples(c4):
-    assert not c4.is_face(0b101)
-    assert c4.is_face(0)
-    assert simplex(2).is_face(0b101)
-
-
-@given(st.integers(0, 2**8 - 1), st.integers(0, 10**6))
-def test_is_face_matches_bruteforce(sigma_mask, seed):
-    import random
-
-    rng = random.Random(seed)
-    n = rng.randint(1, 8)
-    facets = [
-        sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
-        for _ in range(rng.randint(1, 6))
-    ]
-    K = SimplicialComplex(n, facets)
-    sigma = sigma_mask & ((1 << n) - 1)
-    assert K.is_face(sigma) == brute_is_face(K, vertices_of(sigma))
+    assert K.face_masks() == {0}
 
 
 def test_join_of_point_pairs_is_four_cycle():
