@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,7 +37,11 @@ from macomplex.linalg import (
     rank_sparse,
     solve_columns,
 )
-from macomplex.nonfaces import _minimal_nonface_masks, _nonfaces_pairwise_intersect
+from macomplex.nonfaces import (
+    _minimal_nonface_masks,
+    _nonfaces_pairwise_intersect,
+    _unions_by_vertex,
+)
 from oracles import (
     bounded_complex,
     brute_minimal_nonfaces,
@@ -52,8 +57,19 @@ from oracles import (
 
 
 def reduced_betti(cx):
-    """{j: reduced Betti number} of ``cx`` for each degree -1 <= j <= top, as the table reads it."""
-    return dict(enumerate(_reduced_betti(cx.basis, cx._row), -1))
+    """{j: reduced Betti number} of ``cx`` for each degree -1 <= j <= top, as the table reads it.
+
+    The 1-skeleton comes from the vertices and edges of ``cx``, and the walk
+    runs over every vertex label up to the largest, so the labels below it
+    that ``cx`` lacks are ghost vertices the walk must skip.
+    """
+    vertices = 0
+    for v in cx.basis.get(0, []):
+        vertices |= v
+    n = vertices.bit_length()
+    near = _unions_by_vertex(cx.basis.get(0, []) + cx.basis.get(1, []), n)
+    above = {j: faces for j, faces in cx.basis.items() if j > 1}
+    return dict(enumerate(_reduced_betti(above, cx._row, near, (1 << n) - 1), -1))
 
 
 def degrees(cx):
@@ -292,6 +308,7 @@ EDGE_CASES = [
     simplex(0),  # one vertex
     SimplicialComplex(1, []),  # one ghost vertex
     SimplicialComplex(5, [[1, 2], [2, 3]]),  # a path with ghost vertices 4 and 5
+    SimplicialComplex(5, [[1, 2, 3], [4, 5]]),  # a triangle beside an edge: d_1 of K_I = K has one row
     cycle(7),
     simplex(4),
 ]
@@ -385,7 +402,17 @@ def check_rank_shortcuts(cx):
         assert betti.get(j, 0) == eliminated_betti(cx, j), j
 
 
-@pytest.mark.parametrize("faces", [[], [0], [0b1], [0b1, 0b100]])
+@pytest.mark.parametrize(
+    "faces",
+    [
+        [],
+        [0],
+        [0b1],
+        [0b1, 0b100],
+        [*simplex(2).face_masks()],  # a filled triangle: d_1 has one row, of rank 1
+        [*SimplicialComplex(4, [[1, 2, 3], [3, 4]]).face_masks()],  # and next to a free edge
+    ],
+)
 def test_rank_shortcuts_on_the_smallest_complexes(faces):
     check_rank_shortcuts(CochainComplexQ(faces))
 
@@ -399,13 +426,40 @@ def test_rank_shortcuts_match_elimination(K, seed):
         check_rank_shortcuts(table.cochain_complex(I))
 
 
-def test_spanning_forest_counts_only_the_vertices_of_the_subcomplex():
+def test_vertex_walk_skips_ghost_vertices():
     # the path 1-2-3 with ghost vertices 4 and 5: d_0 has rank 3 - 1, not 5 - 1
-    path = CochainComplexQ(SimplicialComplex(5, [[1, 2], [2, 3]]).face_masks())
+    K = SimplicialComplex(5, [[1, 2], [2, 3]])
+    path = CochainComplexQ(K.face_masks())
+    near = _unions_by_vertex(K.facets, K.n)
+
+    def step(I):
+        return _reduced_betti({}, path._row, near, I)  # the path has no face above degree 1
+
+    assert step(0b11111) == [0, 0, 0]  # the path is contractible
+    assert step(0b11101) == [0, 1]  # vertices 1 and 3 and both ghosts: two points, no edge
+    assert step(0b11110) == step(0b00110) == [0, 0, 0]  # the edge {2, 3}, with and without ghosts
+    assert step(0b11000) == step(0) == [1]  # ghosts alone span the empty complex
+    assert hochster_table(K).entries[(0b11101, 0)] == 1
     assert shortcut_ranks(path)[0] == 2
-    assert shortcut_ranks(path.restrict(0b11101))[0] == 0  # vertices 1 and 3, no edge
-    assert shortcut_ranks(path.restrict(0b00110))[0] == 1  # the edge {2, 3}
+    assert shortcut_ranks(path.restrict(0b11101))[0] == 0
+    assert shortcut_ranks(path.restrict(0b00110))[0] == 1
     assert shortcut_ranks(CochainComplexQ(cycle(6).face_masks()))[0] == 5
+
+
+@settings(max_examples=100)
+@given(nondegenerate_complexes(max_n=14))
+def test_table_euler_characteristic_by_weight(K):
+    # sum over |I| = w of the reduced Euler characteristic of K_I counts each
+    # face of size k once for each of the C(n - k, w - k) sets I holding it
+    f = [0] * (K.n + 1)  # f[k]: faces of size k, the empty face included
+    for face in K.face_masks() | {0}:
+        f[face.bit_count()] += 1
+    by_weight = [0] * (K.n + 1)
+    for (I, j), dim in hochster_table(K).entries.items():
+        by_weight[I.bit_count()] += (-1) ** j * dim
+    for w in range(K.n + 1):
+        expected = sum((-1) ** (k - 1) * f[k] * comb(K.n - k, w - k) for k in range(w + 1))
+        assert by_weight[w] == expected, w
 
 
 @settings(max_examples=60)
