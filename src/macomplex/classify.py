@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, _bits, _MembershipIndex
+from .complexes import SimplicialComplex, _bits
 from .errors import NotApplicableError
 from .nonfaces import (
     NonfaceFamily,
@@ -82,26 +82,22 @@ def find_witness(M: NonfaceFamily) -> tuple[int, NonfaceFamily]:
     output deterministic: the pair is the ``min`` of the key
     ``(union size, a, b)`` over the intersecting pairs ``a < b``.
 
-    The pairs are visited in ascending order of ``(a, b)``, each ``a`` only
-    with the later members that meet it (an OR of the membership index), so
-    the first pair of the smallest union size is that minimum.  A member ``a``
-    is skipped once that size is at most ``|a| + 1``, the least union of
-    ``a`` with a member that neither contains nor equals it.
+    The pairs are visited in ascending order of ``(a, b)``, each ``a``
+    against every later member, so the first meeting pair of the smallest
+    union size is that minimum.  A member ``a`` is skipped once that size is
+    at most ``|a| + 1``, the least union of ``a`` with a member that neither
+    contains nor equals it.
     """
     members = M.members
-    index = _MembershipIndex(members)
     best = None
     for i, a in enumerate(members):
         if best is not None and best[0] <= a.bit_count() + 1:
             continue
-        later = index.meeting(a) >> (i + 1)
-        while later:
-            low = later & -later
-            later ^= low
-            b = members[i + low.bit_length()]
-            size = (a | b).bit_count()
-            if best is None or size < best[0]:
-                best = (size, a, b)
+        for b in members[i + 1:]:
+            if a & b:
+                size = (a | b).bit_count()
+                if best is None or size < best[0]:
+                    best = (size, a, b)
     if best is None:
         raise NotApplicableError("no intersecting pair of non-faces")
     witness = best[1] | best[2]

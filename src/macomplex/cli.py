@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("classify", "nonfaces", "loop-ranks"):
             cmd.add_argument(
                 "--limit-n", type=_limit, default=24,
-                help="largest n on which the minimal non-face enumeration runs",
+                help="largest n accepted; a larger input is refused before any work",
             )
         if name in ("oracle-betti", "crosscheck"):
             cmd.add_argument("--limit-cells", type=_limit, default=cells.DEFAULT_CELL_LIMIT)

@@ -24,11 +24,12 @@ The table makes one lean pass, over K's face lists (one per degree, in mask
 order) and its 1-skeleton (one neighbour mask per vertex), both built once.
 For each visited I, ``_reduced_betti`` reads b_{-1}, b_0 and rank d_0 of K_I
 off a walk through the neighbour masks, filters only the faces of degree 2
-and up to I, and eliminates only matrices of two rows or more: a boundary
-row is never empty.  The filter, ``_faces_within``, also restricts every
-degree for the few K_I whose cocycles the ring scan needs.  Columns are
-face masks, so each face's boundary row is built once for every K_I.  All
-linear algebra is exact, in integers but for the representatives.
+and up to I, and eliminates only matrices of three rows or more: one or
+two boundary rows are always independent.  Columns are face masks, so each
+face's boundary row is built once for every K_I.  The filter,
+``_faces_within``, also gives the faces of the few K_I whose cocycles the
+ring scan needs, each a complex with its own rows.  All linear algebra is
+exact, in integers but for the representatives.
 """
 
 from __future__ import annotations
@@ -68,10 +69,12 @@ def _reduced_betti(above: dict[int, list[int]], row, near: list[int], I: int) ->
     b_j = dim C^j - rank d_j - rank d_{j-1}.  A walk from each unvisited
     vertex of I through ``near``, skipping the vertices in no face, counts
     the vertices, edges and components of K_I: rank d_0 is vertices minus
-    components.  Above degree 1, ``_faces_within`` filters ``above`` to I;
-    one boundary row, never empty, has rank 1, and more go to elimination
-    in descending face order, with far less fill-in than ascending (tenfold
-    less time on the 8-cross-polytope).
+    components.  Above degree 1, ``_faces_within`` filters ``above`` to I.
+    One or two boundary rows are independent: a row is never empty, and two
+    distinct faces of one degree j >= 2 share at most one boundary face
+    while each row has j + 1 >= 3 entries, so the two are not proportional.
+    Three rows or more go to elimination in descending face order, with far
+    less fill-in than ascending (tenfold less time on the 8-cross-polytope).
     """
     vertices = I.bit_count()
     components = degrees = 0  # degrees: sum over v of |near[v - 1] & I|, v included
@@ -98,7 +101,7 @@ def _reduced_betti(above: dict[int, list[int]], row, near: list[int], I: int) ->
     rank = vertices - components  # of d_0
     betti = [0, components - 1]
     for faces in _faces_within(above, I).values():
-        upper = 1 if len(faces) == 1 else linalg.rank_sparse([*map(row, reversed(faces))])
+        upper = len(faces) if len(faces) < 3 else linalg.rank_sparse([*map(row, reversed(faces))])
         betti.append(dim - upper - rank)
         dim, rank = len(faces), upper
     betti.append(dim - rank)  # d_top is zero
@@ -112,28 +115,23 @@ class CochainComplexQ:
     face of cardinality c in degree c - 1.  Bases are sorted by bitmask, so
     every matrix, kernel vector and representative is deterministic.  Matrix
     columns are face masks, not positions, so a face's signed boundary row
-    is the same in every complex holding it; ``restrict`` shares the row
-    cache.  Mask order is position order, so echelons pick the same pivots.
+    is the same in every complex holding it, and each complex builds its
+    rows on first use.  Mask order is position order, so echelons pick the
+    same pivots.
     """
 
     def __init__(self, face_masks):
         faces = set(face_masks)
         faces.add(0)
-        basis: dict[int, list[int]] = {}
+        self.basis: dict[int, list[int]] = {}
         for m in sorted(faces):
-            basis.setdefault(m.bit_count() - 1, []).append(m)
-        self._setup(basis, {})
-
-    def _setup(self, basis: dict[int, list[int]], rows: dict[int, dict[int, int]]) -> None:
-        self.basis = basis
-        self._rows = rows  # face mask -> its boundary row, shared by restrictions
+            self.basis.setdefault(m.bit_count() - 1, []).append(m)
+        self._rows: dict[int, dict[int, int]] = {}  # face mask -> its boundary row
         self._cohomology: dict[int, tuple[list[dict[int, Fraction]], list[int], dict]] = {}
 
     def restrict(self, I: int) -> "CochainComplexQ":
-        """The full subcomplex on vertex mask ``I``, sharing this complex's row cache."""
-        sub = object.__new__(CochainComplexQ)
-        sub._setup(_faces_within(self.basis, I), self._rows)
-        return sub
+        """The full subcomplex on vertex mask ``I``, a new complex on the faces inside ``I``."""
+        return CochainComplexQ(m for masks in _faces_within(self.basis, I).values() for m in masks)
 
     def _row(self, tau: int) -> dict[int, int]:
         """Signed boundary faces of ``tau``, {face mask: +-1}, built on first use."""

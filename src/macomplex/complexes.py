@@ -91,10 +91,9 @@ class _MembershipIndex:
     """For each vertex bit, the bitset of the indices of the sets holding it.
 
     Sets are numbered in the order they are added.  ``containing(m)`` ANDs
-    those bitsets over the vertices of ``m`` and ``meeting(m)`` ORs them, so
-    a query costs |m| big-int operations instead of a scan over every set
-    (the vertex-keyed tests of Murakami & Uno, Discrete Appl. Math. 170,
-    2014).
+    those bitsets over the vertices of ``m``, so a containment query costs
+    |m| big-int operations instead of a scan over every set (the
+    vertex-keyed tests of Murakami & Uno, Discrete Appl. Math. 170, 2014).
     """
 
     __slots__ = ("size", "_holding")
@@ -120,15 +119,6 @@ class _MembershipIndex:
         while mask and found:
             low = mask & -mask
             found &= self._holding.get(low, 0)
-            mask ^= low
-        return found
-
-    def meeting(self, mask: int) -> int:
-        """Bitset of the indexed sets that share a vertex with ``mask``."""
-        found = 0
-        while mask:
-            low = mask & -mask
-            found |= self._holding.get(low, 0)
             mask ^= low
         return found
 

@@ -32,6 +32,7 @@ through Berge's enumeration, which ``reconstruct`` also uses.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from typing import Iterable
 
 from .complexes import (
@@ -250,9 +251,7 @@ def _nonfaces_pairwise_intersect(members: list[int]) -> bool:
     a ghost vertex v is the one-element non-face {v}, which misses every
     other minimal non-face.
     """
-    index = _MembershipIndex(members)
-    everyone = (1 << len(members)) - 1
-    return all(index.meeting(m) == everyone for m in members)
+    return all(a & b for a, b in combinations(members, 2))
 
 
 def _reject_ghosts(K: SimplicialComplex) -> None:

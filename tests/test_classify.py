@@ -2,7 +2,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from macomplex import (
@@ -119,6 +119,8 @@ def all_pairs_witness(M):
 
 
 @given(st.lists(st.integers(0, 1023).filter(lambda m: m.bit_count() >= 2), max_size=12))
+@example([15, 60, 225])  # three 4-sets whose least union has 6 vertices: no member is skipped
+@example([3, 12, 48])  # three disjoint pairs: no pair meets
 def test_find_witness_matches_all_pairs_min(masks):
     antichain = [m for m in set(masks) if not any(m != k and k & ~m == 0 for k in masks)]
     M = NonfaceFamily(10, antichain)
