@@ -24,8 +24,9 @@ The table makes one lean pass, over K's face lists (one per degree, in mask
 order) and its 1-skeleton (one neighbour mask per vertex), both built once.
 For each visited I, ``_reduced_betti`` reads b_{-1}, b_0 and rank d_0 of K_I
 off a walk through the neighbour masks, filters only the faces of degree 2
-and up to I, and eliminates only matrices of three rows or more: one or
-two boundary rows are always independent.  Columns are face masks, so each
+and up to I, and eliminates only matrices of more than j + 1 rows in
+degree j: a nonzero j-cycle has at least j + 2 faces, so fewer boundary
+rows are always independent.  Columns are face masks, so each
 face's boundary row is built once for every K_I.  The filter,
 ``_faces_within``, also gives the faces of the few K_I whose cocycles the
 ring scan needs, each a complex with its own rows.  All linear algebra is
@@ -70,11 +71,13 @@ def _reduced_betti(above: dict[int, list[int]], row, near: list[int], I: int) ->
     vertex of I through ``near``, skipping the vertices in no face, counts
     the vertices, edges and components of K_I: rank d_0 is vertices minus
     components.  Above degree 1, ``_faces_within`` filters ``above`` to I.
-    One or two boundary rows are independent: a row is never empty, and two
-    distinct faces of one degree j >= 2 share at most one boundary face
-    while each row has j + 1 >= 3 entries, so the two are not proportional.
-    Three rows or more go to elimination in descending face order, with far
-    less fill-in than ascending (tenfold less time on the 8-cross-polytope).
+    At most j + 1 boundary rows of degree-j faces are independent: a
+    dependency among rows is a nonzero j-cycle, which needs a face and, for
+    each of its j + 1 boundary faces, another face through it; two faces of
+    one degree share at most one boundary face, so the cycle has at least
+    j + 2 faces.  More rows go to elimination in descending face order,
+    with far less fill-in than ascending (tenfold less time on the
+    8-cross-polytope).
     """
     vertices = I.bit_count()
     components = degrees = 0  # degrees: sum over v of |near[v - 1] & I|, v included
@@ -100,8 +103,8 @@ def _reduced_betti(above: dict[int, list[int]], row, near: list[int], I: int) ->
         return [0, components - 1]
     rank = vertices - components  # of d_0
     betti = [0, components - 1]
-    for faces in _faces_within(above, I).values():
-        upper = len(faces) if len(faces) < 3 else linalg.rank_sparse([*map(row, reversed(faces))])
+    for j, faces in _faces_within(above, I).items():
+        upper = len(faces) if len(faces) <= j + 1 else linalg.rank_sparse([*map(row, reversed(faces))])
         betti.append(dim - upper - rank)
         dim, rank = len(faces), upper
     betti.append(dim - rank)  # d_top is zero

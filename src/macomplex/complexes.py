@@ -87,42 +87,6 @@ def _compress_mask(mask: int, within: int) -> int:
     return out
 
 
-class _MembershipIndex:
-    """For each vertex bit, the bitset of the indices of the sets holding it.
-
-    Sets are numbered in the order they are added.  ``containing(m)`` ANDs
-    those bitsets over the vertices of ``m``, so a containment query costs
-    |m| big-int operations instead of a scan over every set (the
-    vertex-keyed tests of Murakami & Uno, Discrete Appl. Math. 170, 2014).
-    """
-
-    __slots__ = ("size", "_holding")
-
-    def __init__(self, masks: Iterable[int] = ()):
-        self.size = 0
-        self._holding: dict[int, int] = {}
-        for m in masks:
-            self.add(m)
-
-    def add(self, mask: int) -> None:
-        bit = 1 << self.size
-        self.size += 1
-        holding = self._holding
-        while mask:
-            low = mask & -mask
-            holding[low] = holding.get(low, 0) | bit
-            mask ^= low
-
-    def containing(self, mask: int) -> int:
-        """Bitset of the indexed sets that contain ``mask``."""
-        found = (1 << self.size) - 1
-        while mask and found:
-            low = mask & -mask
-            found &= self._holding.get(low, 0)
-            mask ^= low
-        return found
-
-
 def _maximal_masks(masks: Iterable[int]) -> list[int]:
     """The inclusion-maximal sets among ``masks``, ascending by (size, mask).
 
@@ -130,19 +94,35 @@ def _maximal_masks(masks: Iterable[int]) -> list[int]:
     {{}}.  Two distinct sets of one size cannot contain each other, so the
     sets are visited from the largest size down and each is tested only
     against the kept sets of strictly larger size.  Those are indexed one
-    size group at a time, when the next smaller size begins, so an input
-    whose sets all have one size builds no index and makes no test.
+    size group at a time, when the next smaller size begins: ``holding``
+    maps each vertex bit to the bitset of the indexed sets that hold it, so
+    the indexed sets containing m are the AND of those bitsets over the
+    vertices of m, |m| big-int operations instead of a scan over every set
+    (the vertex-keyed tests of Murakami & Uno, Discrete Appl. Math. 170,
+    2014).  An input whose sets all have one size builds no index.
     """
     uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m), reverse=True)
     kept: list[int] = []
-    larger = _MembershipIndex()
+    holding: dict[int, int] = {}
+    indexed = 0  # kept[:indexed] are in ``holding``, kept[i] as bit i
     size = None
     for m in uniq:
         if m.bit_count() != size:  # a smaller size begins: index the kept sets so far
             size = m.bit_count()
-            for k in kept[larger.size :]:
-                larger.add(k)
-        if not larger.containing(m):
+            for k in kept[indexed:]:
+                bit = 1 << indexed
+                indexed += 1
+                while k:
+                    low = k & -k
+                    holding[low] = holding.get(low, 0) | bit
+                    k ^= low
+        inside = (1 << indexed) - 1  # the indexed sets that contain m
+        rest = m
+        while rest and inside:
+            low = rest & -rest
+            inside &= holding.get(low, 0)
+            rest ^= low
+        if not inside:
             kept.append(m)
     kept.reverse()
     return kept or [0]

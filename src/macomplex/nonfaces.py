@@ -22,8 +22,9 @@ enumeration, each recogniser reading only what it needs off the facets:
   sizes multiply to the facet count make every choice of one vertex per
   block a facet complement, and the blocks disjoint;
 * a flag complex, whose non-faces are the non-edges, read off the
-  1-skeleton (the union of the facets at each vertex, sum |F| ORs) with
-  at most |facets| * n face tests.
+  1-skeleton (the union of the facets at each vertex, sum |F| ORs).
+  Flagness is one pass of the facet filter ``_maximal_masks`` over the
+  facets and at most |facets| * n cliques of the 1-skeleton.
 
 Every other complex, and every complex with a vertex in no facet, goes
 through Berge's enumeration, which ``reconstruct`` also uses.
@@ -42,7 +43,6 @@ from .complexes import (
     _check_vertex_count,
     _mask_of,
     _maximal_masks,
-    _MembershipIndex,
 )
 from .errors import GhostVertexError, InputError
 
@@ -204,25 +204,28 @@ def _flag_non_edges(K: SimplicialComplex) -> list[int] | None:
     """The non-edges when K is a flag complex, else None.
 
     K is flag exactly when, for every facet F and vertex v outside it,
-    (F & N(v)) | {v} is a face: in a flag complex it is a clique, and a
-    minimal non-face s of three or more vertices fails the test at any v
-    of s and a facet F holding s - {v}.  A set of at most two vertices
-    is a clique of the 1-skeleton, so only larger ones are looked up, each
-    once; at most |facets| * n face tests, stopping at the first non-face.
+    the clique (F & N(v)) | {v} is a face: in a flag complex every clique
+    is, and a minimal non-face s of three or more vertices lies inside
+    this clique for any v of s and a facet F holding s - {v}.  When
+    F & N(v) is F itself, F | {v} is a clique larger than a facet, and K
+    is declined at once.  The cliques of at most two vertices are edges;
+    the larger ones are all faces exactly when adding them to the facets
+    leaves the maximal sets unchanged, as one in no facet would make some
+    added set maximal.  One ``_maximal_masks`` pass over the facets and at
+    most |facets| * n cliques.
     """
     near = _unions_by_vertex(K.facets, K.n)
-    index = _MembershipIndex(K.facets)
     full = (1 << K.n) - 1
-    looked_up = set()
+    cliques = set()
     for f in K.facets:
         for v in _bits(full & ~f):
             inner = f & near[v - 1]
+            if inner == f:
+                return None
             if inner & (inner - 1):
-                sigma = inner | 1 << (v - 1)
-                if sigma not in looked_up:
-                    if not index.containing(sigma):
-                        return None
-                    looked_up.add(sigma)
+                cliques.add(inner | 1 << (v - 1))
+    if tuple(_maximal_masks([*K.facets, *cliques])) != K.facets:
+        return None
     return _non_edges(near)
 
 

@@ -707,6 +707,35 @@ def test_poincare_duality_on_spheres(K):
     assert betti == betti[::-1]
 
 
+def cyclic_polytope_boundary(n, d):
+    """Boundary of the cyclic polytope C(n, d), a (d - 1)-sphere: by Gale's evenness, the
+    d-sets S of [n] such that an even number of members of S lie between any two vertices
+    outside S."""
+    facets = []
+    for S in combinations(range(1, n + 1), d):
+        outside = [v for v in range(1, n + 1) if v not in S]
+        if all(sum(a < s < b for s in S) % 2 == 0 for a, b in combinations(outside, 2)):
+            facets.append(S)
+    return SimplicialComplex(n, facets)
+
+
+CYCLIC_POLYTOPES = [cyclic_polytope_boundary(n, d) for d in (3, 4, 5) for n in range(d + 2, 12)]
+
+
+@pytest.mark.parametrize(
+    "K", SPHERES + CYCLIC_POLYTOPES, ids=lambda K: f"n{K.n}-{len(K.facets)}facets-d{K.facets[-1].bit_count()}"
+)
+def test_table_has_alexander_duality_on_spheres(K):
+    # for a sphere K of dimension d - 1 on [n], H~^j(K_I) = H~^{d-2-j}(K_{[n] - I}), with
+    # I = ∅ (the unit in degree -1) paired with K itself (the top class in degree d - 1)
+    d = K.facets[-1].bit_count()
+    entries = hochster_table(K).entries
+    full = (1 << K.n) - 1
+    assert entries[(0, -1)] == entries[(full, d - 1)] == 1
+    for (I, j), dim in entries.items():
+        assert entries.get((full ^ I, d - 2 - j), 0) == dim, (I, j)
+
+
 def test_join_law_past_the_cross_check():
     # Z(K1 * K2) = Z(K1) x Z(K2), so by Kuenneth the Betti numbers of a join
     # are the convolution of the factors'; here at n = 10..16

@@ -24,6 +24,7 @@ from macomplex import (
 from macomplex import nonfaces
 from macomplex.nonfaces import (
     _boundary_join_blocks,
+    _flag_non_edges,
     _minimal_nonface_masks,
     _minimal_transversals,
     _unions_by_vertex,
@@ -498,6 +499,18 @@ def test_flag_complex_with_a_hollow_triangle_matches_berge(n, p, seed):
     near = SimplicialComplex(K.n, [f for f in K.facets if f != t] + edges)
     assert t in berge_nonfaces(near)
     assert _minimal_nonface_masks(near) == berge_nonfaces(near)
+
+
+# every facet is a maximal clique of the 1-skeleton, but the clique {1, 2, 3} is no face;
+# no F & N(v) is a whole facet, so the facet filter must find it
+THREE_TRIANGLES = SimplicialComplex(6, [[1, 2, 4], [2, 3, 5], [1, 3, 6]])
+
+
+@pytest.mark.parametrize("K", [THREE_TRIANGLES, join(THREE_TRIANGLES, simplex(0))], ids=repr)
+def test_flag_test_finds_a_clique_in_no_facet(K):
+    assert _flag_non_edges(K) is None
+    assert mask_of([1, 2, 3]) in berge_nonfaces(K)
+    assert _minimal_nonface_masks(K) == berge_nonfaces(K)
 
 
 @pytest.mark.parametrize("K", [SimplicialComplex(0, [[]]), simplex(0), simplex(5)], ids=repr)
