@@ -45,7 +45,8 @@ def _report_nonfaces(K, args):
 
 
 def _report_betti(K, args):
-    return hochster_table(K).to_json_dict()
+    table = hochster_table(K)
+    return {"betti": table.betti, "entries": table.entries}
 
 
 def _report_oracle(K, args):
@@ -114,7 +115,7 @@ def _run_one(args: argparse.Namespace, source: str) -> tuple[int, dict]:
 
 
 def run(args: argparse.Namespace) -> tuple[int, object]:
-    """Execute a parsed command; returns (exit code, JSON-serialisable report).
+    """Execute a parsed command; returns (exit code, report for ``_dumps``).
 
     Several inputs run one after another, in order; the exit code is the
     worst of theirs.
@@ -141,7 +142,9 @@ def _dumps(value, pad: str = "") -> str:
     This walks the shapes reports are made of (str-keyed dicts, lists, exact
     ints, strings) directly, joins a list of ints in one call, writes a list
     of records through ``_records``, and hands every other value to
-    ``json.dumps`` itself, re-indented to its depth.
+    ``json.dumps`` itself, re-indented to its depth.  A Hochster table's
+    ``entries``, keyed by (I, j) tuples that ``json.dumps`` would refuse,
+    go to ``_hochster_entries``, which writes them as a list of records.
     """
     kind = type(value)
     if kind is int:
@@ -160,6 +163,8 @@ def _dumps(value, pad: str = "") -> str:
     if kind is dict and value and all(type(k) is str for k in value):
         items = [encode_basestring_ascii(k) + ": " + _dumps(value[k], inner) for k in sorted(value)]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if kind is dict and value and type(next(iter(value))) is tuple:
+        return _hochster_entries(value, pad)
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
 
@@ -197,6 +202,47 @@ def _records(records: list[dict], pad: str) -> list[str]:
                 texts.append(_dumps(leaf, inner))
         out.append(template % tuple(texts))
     return out
+
+
+def _vertex_texts(first: int, count: int, item: str) -> list[str]:
+    """``item % v`` joined over the vertices v of each subset of first + 1..first + count.
+
+    Indexed by the subset's mask shifted down by ``first``; each text is
+    its smaller subset's text with the top vertex's appended.
+    """
+    texts = [""]
+    for v in range(first + 1, first + count + 1):
+        piece = item % v
+        texts += [text + piece for text in texts]
+    return texts
+
+
+def _hochster_entries(entries: dict[tuple[int, int], int], pad: str) -> str:
+    """``_dumps`` at ``pad`` of the records {"I": vertices of I, "dim": dim, "j": j}.
+
+    ``entries`` maps (I mask, j) to dim in ascending (I, j) order, the
+    order the records are written in, so its last I is the largest.  One
+    pass fills one template per record, and I's vertex list is three
+    lookups in the texts of its low, middle and high vertices (1-8, 9-16,
+    17 up), each written with its trailing comma.  No dict or vertex list
+    is built per record.
+    """
+    inner = pad + "  "
+    field = inner + "  "
+    tail = ",\n" + field + '"dim": %d,\n' + field + '"j": %d\n' + inner + "}"
+    record = "{\n" + field + '"I": [%s\n' + field + "]" + tail
+    empty = "{\n" + field + '"I": []' + tail
+    top = next(reversed(entries))[0].bit_length()
+    item = "\n" + field + "  %d,"
+    low = _vertex_texts(0, min(top, 8), item)
+    middle = _vertex_texts(8, min(max(top - 8, 0), 8), item)
+    high = _vertex_texts(16, max(top - 16, 0), item)
+    texts = [
+        record % ((low[I & 255] + middle[I >> 8 & 255] + high[I >> 16])[:-1], dim, j)
+        if I else empty % (dim, j)
+        for (I, j), dim in entries.items()
+    ]
+    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
 
 
 def _render_text(command: str, report) -> str:

@@ -23,14 +23,15 @@ empty union, carries the unit.
 The table makes one lean pass, over K's face lists (one per degree, in mask
 order) and its 1-skeleton (one neighbour mask per vertex), both built once.
 For each visited I, ``_reduced_betti`` reads b_{-1}, b_0 and rank d_0 of K_I
-off a walk through the neighbour masks, filters only the faces of degree 2
-and up to I, and eliminates only matrices of more than j + 1 rows in
-degree j: a nonzero j-cycle has at least j + 2 faces, so fewer boundary
-rows are always independent.  Columns are face masks, so each
-face's boundary row is built once for every K_I.  The filter,
-``_faces_within``, also gives the faces of the few K_I whose cocycles the
-ring scan needs, each a complex with its own rows.  All linear algebra is
-exact, in integers but for the representatives.
+off a walk through the neighbour masks, stops there when the walk finds a
+forest, filters only the faces of degree 2 and up to I, and eliminates only
+matrices of more than j + 1 rows in degree j: a nonzero j-cycle has at
+least j + 2 faces, so fewer boundary rows are always independent.
+Columns are face masks, so each face's boundary row is built once for
+every K_I.  The filter, ``_faces_within``, also gives the faces of the
+few K_I whose cocycles the ring scan needs, each a complex with its own
+rows.  All linear algebra is exact, in integers but for the
+representatives.
 """
 
 from __future__ import annotations
@@ -70,7 +71,11 @@ def _reduced_betti(above: dict[int, list[int]], row, near: list[int], I: int) ->
     b_j = dim C^j - rank d_j - rank d_{j-1}.  A walk from each unvisited
     vertex of I through ``near``, skipping the vertices in no face, counts
     the vertices, edges and components of K_I: rank d_0 is vertices minus
-    components.  Above degree 1, ``_faces_within`` filters ``above`` to I.
+    components.  When the edges are as many as that rank, the 1-skeleton is
+    a forest, and the list ends at b_0: a face of degree 2 or more has a
+    triangle of edges in its boundary, which a forest lacks, so K_I has no
+    such face and b_1 = 0.  Above degree 1, ``_faces_within`` filters
+    ``above`` to I.
     At most j + 1 boundary rows of degree-j faces are independent: a
     dependency among rows is a nonzero j-cycle, which needs a face and, for
     each of its j + 1 boundary faces, another face through it; two faces of
@@ -99,9 +104,9 @@ def _reduced_betti(above: dict[int, list[int]], row, near: list[int], I: int) ->
     if not vertices:
         return [1]
     dim = (degrees - vertices) // 2  # of C^1: each edge is counted at both ends
-    if not dim:
-        return [0, components - 1]
     rank = vertices - components  # of d_0
+    if dim == rank:  # a forest
+        return [0, components - 1]
     betti = [0, components - 1]
     for j, faces in _faces_within(above, I).items():
         upper = len(faces) if len(faces) <= j + 1 else linalg.rank_sparse([*map(row, reversed(faces))])
@@ -215,8 +220,12 @@ class CochainComplexQ:
 class HochsterTable:
     """Additive decomposition of H^*(Z(K); Q) indexed by (I mask, degree).
 
-    ``nonfaces`` keeps the masks of K's minimal non-faces, ghost singletons
-    included, that chose the visited subsets.
+    ``entries`` maps (I mask, j) to the dimension of H~^j(K_I), in
+    ascending (I, j) order; ``mac betti`` writes them straight from this
+    dict, in that order, as the records {"I": vertices, "dim", "j"} of its
+    report, with ``betti`` beside them.  ``nonfaces`` keeps the masks of K's
+    minimal non-faces, ghost singletons included, that chose the visited
+    subsets.
     """
 
     def __init__(
@@ -237,13 +246,6 @@ class HochsterTable:
     def positive_entries(self) -> list[tuple[int, int, int]]:
         """(I mask, j, dim) of positive total degree, i.e. all with nonempty I."""
         return [(I, j, dim) for (I, j), dim in self.entries.items() if I]
-
-    def to_json_dict(self) -> dict:
-        entries = [
-            {"I": list(_bits(I)), "j": j, "dim": dim}
-            for (I, j), dim in self.entries.items()
-        ]
-        return {"entries": entries, "betti": list(self.betti)}
 
 
 def _unions_of_minimal_nonfaces(n: int, nonfaces: list[int]) -> Iterator[int]:

@@ -15,7 +15,9 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
-from macomplex import NonfaceFamily, SimplicialComplex, star_product
+from hypothesis import strategies as st
+
+from macomplex import NonfaceFamily, SimplicialComplex, reconstruct, star_product
 
 
 def vertices_of(mask: int) -> list[int]:
@@ -217,6 +219,23 @@ def bounded_complex(rng: random.Random, n: int, max_size: int) -> SimplicialComp
     covered = {v for f in facets for v in f}
     facets += [[v] for v in range(1, n + 1) if v not in covered]
     return SimplicialComplex(n, facets)
+
+
+@st.composite
+def nondegenerate_complexes(draw, max_n):
+    """G(n, p) flag complexes, bounded facet sizes or reconstructed families,
+    with up to two vertices then removed from every facet (ghost vertices)."""
+    n = draw(st.integers(1, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["flag", "bounded", "reconstruct"]))
+    if kind == "flag":
+        K = flag_complex(rng, n, draw(st.sampled_from([0.3, 0.5, 0.7])))
+    elif kind == "bounded":
+        K = bounded_complex(rng, n, draw(st.integers(1, 4)))
+    else:
+        K = reconstruct(random_family(rng, max(n, 2)))
+    ghosts = mask_of(draw(st.lists(st.integers(1, K.n), max_size=2)))
+    return SimplicialComplex(K.n, [f & ~ghosts for f in K.facets])
 
 
 def random_intersecting_family(rng: random.Random, n: int) -> NonfaceFamily:

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -11,7 +13,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from macomplex import SimplicialComplex, cli, complexes, cycle
+from macomplex import SimplicialComplex, cli, complexes, cycle, hochster_table
+from oracles import nondegenerate_complexes, vertices_of
 
 families = sys.modules["macomplex.generate"]  # the package exports the function under that name
 
@@ -396,6 +399,55 @@ JSON_TREES = st.recursive(
 @example([{"a": 1}, {"b": 2}, {"a": 1, "b": 2}, {"a": [1]}, [1]])
 def test_report_writer_matches_json_dumps(value):
     assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_hochster_table_serialisation(capsys):
+    code, data = run_json(capsys, ["betti", "--input", C4_JSON])
+    assert code == 0
+    assert data["betti"] == [1, 0, 0, 2, 0, 0, 1]
+    assert {"I": [], "j": -1, "dim": 1} in data["entries"]
+    assert {"I": [1, 3], "j": 0, "dim": 1} in data["entries"]
+    assert {"I": [1, 2, 3, 4], "j": 1, "dim": 1} in data["entries"]
+
+
+def test_entries_writer_reaches_vertex_20():
+    # no drawn complex has a vertex above 16, where the writer's third vertex text starts
+    entries = {(0, -1): 1, (0b1 << 19 | 0b1 << 16 | 0b1 << 8 | 0b1, 2): 3, (0b1111 << 16, 0): 12}
+    records = [{"I": vertices_of(I), "j": j, "dim": dim} for (I, j), dim in entries.items()]
+    for value, expected in ((entries, records), ([{"x": entries}], [{"x": records}])):
+        assert cli._dumps(value) == json.dumps(expected, sort_keys=True, indent=2)
+
+
+def betti_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["betti", *argv]) == 0
+    return out.getvalue()
+
+
+def assert_same_text(out, expected):
+    """Fail on the first line that differs; pytest's diff of a 1 MB report takes minutes."""
+    if out != expected:
+        a, b = out.splitlines(), expected.splitlines()
+        at = next((i for i, pair in enumerate(zip(a, b)) if pair[0] != pair[1]), min(len(a), len(b)))
+        pytest.fail(f"line {at + 1}: {a[at:at + 1]} != {b[at:at + 1]}", pytrace=False)
+
+
+@given(nondegenerate_complexes(max_n=13), nondegenerate_complexes(max_n=13))
+@example(cycle(13), SimplicialComplex(11, [[1, 10], [10, 11], [2, 3, 11]]))
+def test_betti_report_is_json_dumps_of_the_table(K, L):
+    # the expected report is built here from the table's entries, not by the CLI's writer
+    batch = []
+    for M in (K, L):
+        table = hochster_table(M)
+        entries = [{"I": vertices_of(I), "j": j, "dim": d} for (I, j), d in table.entries.items()]
+        report = {"betti": table.betti, "entries": entries}
+        source = json.dumps(M.to_json_dict())
+        expected = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        assert_same_text(betti_stdout(["--input", source]), expected)
+        batch.append({"input": source, "report": report})
+    out = betti_stdout([arg for item in batch for arg in ("--input", item["input"])])
+    assert_same_text(out, json.dumps(batch, sort_keys=True, indent=2) + "\n")
 
 
 def test_schema_states_the_vertex_bound_once():

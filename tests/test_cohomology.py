@@ -49,8 +49,8 @@ from oracles import (
     dense_rows,
     flag_complex,
     mask_of,
+    nondegenerate_complexes,
     product_is_zero,
-    random_family,
     random_pairwise_intersecting_family,
     unskipped_star_product_scan,
 )
@@ -90,9 +90,9 @@ def test_reduced_cohomology_two_points():
 
 
 def test_reduced_cohomology_c5_witness_subcomplex(c5):
-    # edge {3,4} plus the isolated vertex 1, relabelled onto 1..3
+    # edge {3,4} plus the isolated vertex 1, relabelled onto 1..3: a forest, so no b_1
     K = full_subcomplex(c5, 0b1101)
-    assert dims_by_degree(K) == {-1: 0, 0: 1, 1: 0}
+    assert dims_by_degree(K) == {-1: 0, 0: 1}
 
 
 def test_reduced_cohomology_empty_complex():
@@ -235,33 +235,8 @@ def test_trivial_ring_with_disjoint_supports_can_still_vanish():
     assert certificate["kind"] == "all_products_vanish"
 
 
-def test_hochster_table_serialisation(c4):
-    data = hochster_table(c4).to_json_dict()
-    assert data["betti"] == [1, 0, 0, 2, 0, 0, 1]
-    assert {"I": [], "j": -1, "dim": 1} in data["entries"]
-    assert {"I": [1, 3], "j": 0, "dim": 1} in data["entries"]
-    assert {"I": [1, 2, 3, 4], "j": 1, "dim": 1} in data["entries"]
-
-
 # ---------------------------------------------------------------------------
 # the pruned table against the full 2^n loop
-
-
-@st.composite
-def nondegenerate_complexes(draw, max_n):
-    """G(n, p) flag complexes, bounded facet sizes or reconstructed families,
-    with up to two vertices then removed from every facet (ghost vertices)."""
-    n = draw(st.integers(1, max_n))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["flag", "bounded", "reconstruct"]))
-    if kind == "flag":
-        K = flag_complex(rng, n, draw(st.sampled_from([0.3, 0.5, 0.7])))
-    elif kind == "bounded":
-        K = bounded_complex(rng, n, draw(st.integers(1, 4)))
-    else:
-        K = reconstruct(random_family(rng, max(n, 2)))
-    ghosts = mask_of(draw(st.lists(st.integers(1, K.n), max_size=2)))
-    return SimplicialComplex(K.n, [f & ~ghosts for f in K.facets])
 
 
 def eliminated_betti(cx, j):
@@ -308,6 +283,7 @@ EDGE_CASES = [
     simplex(0),  # one vertex
     SimplicialComplex(1, []),  # one ghost vertex
     SimplicialComplex(5, [[1, 2], [2, 3]]),  # a path with ghost vertices 4 and 5
+    SimplicialComplex(6, [[1, 2], [1, 3], [1, 4], [4, 5], [4, 6]]),  # a tree: every K_I a forest
     SimplicialComplex(5, [[1, 2, 3], [4, 5]]),  # a triangle beside an edge: d_1 of K_I = K has one row
     SimplicialComplex(4, [[1, 2, 3], [1, 3, 4], [2, 4]]),  # two triangles and an edge round a hole: two rows
     cycle(7),
@@ -437,9 +413,10 @@ def test_vertex_walk_skips_ghost_vertices():
     def step(I):
         return _reduced_betti({}, path._row, near, I)  # the path has no face above degree 1
 
-    assert step(0b11111) == [0, 0, 0]  # the path is contractible
+    # a forest ends at b_0: it has no face of degree 2 or more, and b_1 = 0
+    assert step(0b11111) == [0, 0]  # the path is contractible
     assert step(0b11101) == [0, 1]  # vertices 1 and 3 and both ghosts: two points, no edge
-    assert step(0b11110) == step(0b00110) == [0, 0, 0]  # the edge {2, 3}, with and without ghosts
+    assert step(0b11110) == step(0b00110) == [0, 0]  # the edge {2, 3}, with and without ghosts
     assert step(0b11000) == step(0) == [1]  # ghosts alone span the empty complex
     assert hochster_table(K).entries[(0b11101, 0)] == 1
     assert shortcut_ranks(path)[0] == 2

@@ -513,6 +513,17 @@ def test_flag_test_finds_a_clique_in_no_facet(K):
     assert _minimal_nonface_masks(K) == berge_nonfaces(K)
 
 
+# each has a facet F and a vertex v outside it adjacent to all of F, so F | {v} is a
+# clique larger than a facet: the flag test declines before its facet filter
+@pytest.mark.parametrize("K", [boundary_simplex(2), join(cycle(5), boundary_simplex(2))], ids=repr)
+def test_flag_test_declines_a_facet_inside_a_larger_clique(K, monkeypatch):
+    def refuse(masks):
+        raise AssertionError("the facet filter ran")
+
+    monkeypatch.setattr(nonfaces, "_maximal_masks", refuse)
+    assert _flag_non_edges(K) is None
+
+
 @pytest.mark.parametrize("K", [SimplicialComplex(0, [[]]), simplex(0), simplex(5)], ids=repr)
 def test_no_nonfaces_without_berge(K):
     assert berge_nonfaces(K) == []
