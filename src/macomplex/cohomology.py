@@ -22,27 +22,33 @@ empty union, carries the unit.
 
 The table makes one lean pass, over K's face lists (one per degree, in mask
 order) and its 1-skeleton (one neighbour mask per vertex), both built once.
-For each visited I, ``_reduced_betti`` reads b_{-1}, b_0 and rank d_0 of K_I
-off a walk through the neighbour masks, stops there when the walk finds a
-forest, filters only the faces of degree 2 and up to I, and eliminates only
+For each visited I, ``_one_skeletons`` gives the vertices, components and
+edges of K_I's 1-skeleton, extended by one vertex from its parent, I minus
+its lowest vertex, when the parent was visited, and walked through the
+neighbour masks otherwise.  ``_reduced_betti`` reads b_{-1}, b_0 and
+rank d_0 of K_I off them, stops there when the 1-skeleton is a forest,
+filters only the faces of degree 2 and up to I, and eliminates only
 matrices of more than j + 1 rows in degree j: a nonzero j-cycle has at
-least j + 2 faces, so fewer boundary rows are always independent.
-Columns are face masks, so each face's boundary row is built once for
-every K_I.  The filter, ``_faces_within``, also gives the faces of the
-few K_I whose cocycles the ring scan needs, each a complex with its own
-rows.  All linear algebra is exact, in integers but for the
-representatives.
+least j + 2 faces, so fewer boundary rows are always independent.  Each
+distinct face set is eliminated once per table, as many K_I hold the same
+faces above degree 1.  Columns are face masks, so each face's boundary
+row is built once for every K_I.  The filter, ``_faces_within``, also
+gives the faces of the few K_I whose cocycles the ring scan needs, each
+a complex with its own rows.  All linear algebra is exact, in integers
+but for the representatives, the only step here that imports ``fractions``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from . import linalg
 from .complexes import SimplicialComplex, _bits
 from .errors import InputError, ResourceError
 from .nonfaces import _minimal_nonface_masks, _nonfaces_pairwise_intersect, _unions_by_vertex
+
+if TYPE_CHECKING:  # only the ring scan builds a Fraction, and imports it there
+    from fractions import Fraction
 
 HOCHSTER_MAX_N = 20
 
@@ -63,14 +69,89 @@ def _faces_within(basis: dict[int, list[int]], I: int) -> dict[int, list[int]]:
     return within
 
 
-def _reduced_betti(above: dict[int, list[int]], row, near: list[int], I: int) -> list[int]:
+def _one_skeleton(near: list[int], I: int) -> tuple[int, list[int], int]:
+    """(vertices, components, edges) of the 1-skeleton of K_I, walked from scratch.
+
+    ``near[v - 1]`` is the union of the facets with v, so v is in no face
+    when it is 0, and such vertices are skipped.  A walk from each unvisited
+    vertex of I through ``near`` gives the components as vertex masks, in
+    the order of their lowest vertex.
+    """
+    vertices = degrees = 0  # degrees: sum over v of |near[v - 1] & I|, v included
+    components = []
+    rest = I
+    while rest:
+        frontier = rest & -rest
+        rest ^= frontier
+        if not near[frontier.bit_length() - 1]:
+            continue
+        component = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            around = near[low.bit_length() - 1] & I
+            degrees += around.bit_count()
+            component |= around
+            frontier |= around & rest
+            rest &= ~around
+        vertices += component.bit_count()
+        components.append(component)
+    return vertices, components, (degrees - vertices) // 2  # each edge is counted at both ends
+
+
+def _one_skeletons(near: list[int], subsets) -> Iterator[tuple[int, tuple[int, list[int], int]]]:
+    """(I, the ``_one_skeleton`` of K_I) for each of the ascending vertex masks ``subsets``.
+
+    K_I's 1-skeleton is its parent's, P = I minus its lowest vertex v, with
+    v added: nothing changes when v is in no face; otherwise the edges from
+    v to P are added and v merges with the components of P it touches, into
+    a component that comes first, as v is below every vertex of P.  P
+    precedes I, and when it was among ``subsets`` it is on a stack of the
+    ancestors of the last I: the J in ``subsets`` that are I minus some of
+    its lowest vertices.  An ascending sequence passes from I to I' by
+    popping the ancestors of I that are not ancestors of I', so the stack
+    holds at most n + 1 entries.  A subset whose parent was not visited is
+    walked from scratch.
+    """
+    stack: list[tuple[int, tuple[int, list[int], int]]] = []
+    for I in subsets:
+        while stack:
+            J = stack[-1][0]
+            if I & -(J & -J) == J:  # J is I with its vertices below J's lowest removed
+                break
+            stack.pop()
+        v = I & -I
+        if stack and stack[-1][0] == I ^ v:
+            skeleton = stack[-1][1]
+            around = near[v.bit_length() - 1] & I
+            if around:
+                vertices, components, edges = skeleton
+                merged = [v]
+                for component in components:
+                    if component & around:
+                        merged[0] |= component
+                    else:
+                        merged.append(component)
+                skeleton = (vertices + 1, merged, edges + around.bit_count() - 1)
+        else:
+            skeleton = _one_skeleton(near, I)
+        stack.append((I, skeleton))
+        yield I, skeleton
+
+
+def _reduced_betti(
+    above: dict[int, list[int]],
+    row,
+    ranks: dict[tuple[int, ...], int],
+    I: int,
+    skeleton: tuple[int, list[int], int],
+) -> list[int]:
     """Reduced Betti numbers b_{-1}, ..., b_top of K_I, the full subcomplex of K on ``I``.
 
     ``above`` is K's face lists from degree 2 up, ``row(tau)`` the signed
-    boundary row of tau, and ``near[v - 1]`` the union of the facets with v;
-    b_j = dim C^j - rank d_j - rank d_{j-1}.  A walk from each unvisited
-    vertex of I through ``near``, skipping the vertices in no face, counts
-    the vertices, edges and components of K_I: rank d_0 is vertices minus
+    boundary row of tau, ``ranks`` the memo of eliminations for one table,
+    and ``skeleton`` the (vertices, components, edges) of K_I's 1-skeleton;
+    b_j = dim C^j - rank d_j - rank d_{j-1}, and rank d_0 is vertices minus
     components.  When the edges are as many as that rank, the 1-skeleton is
     a forest, and the list ends at b_0: a face of degree 2 or more has a
     triangle of edges in its boundary, which a forest lacks, so K_I has no
@@ -82,34 +163,24 @@ def _reduced_betti(above: dict[int, list[int]], row, near: list[int], I: int) ->
     one degree share at most one boundary face, so the cycle has at least
     j + 2 faces.  More rows go to elimination in descending face order,
     with far less fill-in than ascending (tenfold less time on the
-    8-cross-polytope).
+    8-cross-polytope), once per distinct face set: ``ranks`` keeps each
+    rank under the tuple of its faces, which many K_I share.
     """
-    vertices = I.bit_count()
-    components = degrees = 0  # degrees: sum over v of |near[v - 1] & I|, v included
-    rest = I
-    while rest:
-        frontier = rest & -rest
-        rest ^= frontier
-        if not near[frontier.bit_length() - 1]:
-            vertices -= 1
-            continue
-        components += 1
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            around = near[low.bit_length() - 1] & I
-            degrees += around.bit_count()
-            frontier |= around & rest
-            rest &= ~around
+    vertices, components, dim = skeleton  # dim of C^1
     if not vertices:
         return [1]
-    dim = (degrees - vertices) // 2  # of C^1: each edge is counted at both ends
-    rank = vertices - components  # of d_0
+    rank = vertices - len(components)  # of d_0
     if dim == rank:  # a forest
-        return [0, components - 1]
-    betti = [0, components - 1]
+        return [0, len(components) - 1]
+    betti = [0, len(components) - 1]
     for j, faces in _faces_within(above, I).items():
-        upper = len(faces) if len(faces) <= j + 1 else linalg.rank_sparse([*map(row, reversed(faces))])
+        if len(faces) <= j + 1:
+            upper = len(faces)
+        else:
+            key = tuple(faces)
+            upper = ranks.get(key)
+            if upper is None:
+                upper = ranks[key] = linalg.rank_sparse([*map(row, reversed(faces))])
         betti.append(dim - upper - rank)
         dim, rank = len(faces), upper
     betti.append(dim - rank)  # d_top is zero
@@ -168,6 +239,8 @@ class CochainComplexQ:
         """
         if j in self._cohomology:
             return self._cohomology[j][0]
+        from fractions import Fraction  # only the ring scan builds one
+
         cocycle_pivots = linalg.echelon(self.coboundary_rows(j)[::-1])
         free = [m for m in self.basis.get(j, []) if m not in cocycle_pivots]
         # column -f stands for free column f, so the echelon keys each row by its largest
@@ -199,6 +272,8 @@ class CochainComplexQ:
         cocycle lies in the kernel, which its entries on F coordinatise, so
         every cocycle reduces.
         """
+        from fractions import Fraction  # only the ring scan builds one
+
         if not cochain.keys() <= set(self.basis.get(j, [])):
             raise InputError("cochain supported outside the subcomplex")
         for row in self.coboundary_rows(j):
@@ -304,13 +379,14 @@ def hochster_table(K: SimplicialComplex) -> HochsterTable:
         )
     nonfaces = _minimal_nonface_masks(K)
     whole = CochainComplexQ(K.face_masks())
-    above = {j: faces for j, faces in whole.basis.items() if j > 1}  # the walk gives degrees 0 and 1
+    above = {j: faces for j, faces in whole.basis.items() if j > 1}  # the 1-skeleton gives degrees 0 and 1
     near = _unions_by_vertex(K.facets, K.n)
+    ranks: dict[tuple[int, ...], int] = {}
     entries: dict[tuple[int, int], int] = {}
     betti = [0] * (2 * K.n + 2)  # degree j + |I| + 1 <= 2n
-    for I in _unions_of_minimal_nonfaces(K.n, nonfaces):
+    for I, skeleton in _one_skeletons(near, _unions_of_minimal_nonfaces(K.n, nonfaces)):
         shift = I.bit_count() + 1
-        for j, dim in enumerate(_reduced_betti(above, whole._row, near, I), -1):
+        for j, dim in enumerate(_reduced_betti(above, whole._row, ranks, I, skeleton), -1):
             if dim:
                 entries[(I, j)] = dim
                 betti[j + shift] += dim

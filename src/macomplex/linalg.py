@@ -16,13 +16,17 @@ images and representatives off the pivot tables.
 The dense routines over Fraction (``rref``, ``kernel_basis``,
 ``solve_columns`` and ``RowSpan``) have no caller in the package.  They
 stay as the tests' reference for the cocycle layer, and because the
-benchmark's tracer wraps them by name.
+benchmark's tracer wraps them by name.  Each imports ``fractions`` when
+called, so loading the package does not.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # the dense routines import it when called
+    from fractions import Fraction
 
 
 def echelon(rows) -> dict[int, dict[int, int]]:
@@ -79,6 +83,8 @@ def rank_sparse(rows) -> int:
 
 def rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Fraction; returns (rows, pivot columns)."""
+    from fractions import Fraction  # only the dense routines build one
+
     rows = [[Fraction(x) for x in r] for r in matrix]
     if not rows:
         return [], []
@@ -109,6 +115,8 @@ def kernel_basis(matrix, ncols) -> list[list[Fraction]]:
     Deterministic: one basis vector per free column, in ascending column
     order, with unit entry at the free column.
     """
+    from fractions import Fraction  # only the dense routines build one
+
     if not matrix:
         basis = []
         for c in range(ncols):
@@ -136,6 +144,8 @@ def solve_columns(columns, rhs) -> list[Fraction] | None:
     The tests' oracle for ``CochainComplexQ.reduce_cocycle``; nothing in
     the package calls it.
     """
+    from fractions import Fraction  # only the dense routines build one
+
     nrows = len(rhs)
     ncols = len(columns)
     aug = []
@@ -157,6 +167,8 @@ class RowSpan:
         self.rows = []  # (pivot column, reduced vector with unit pivot)
 
     def _reduce(self, vec):
+        from fractions import Fraction  # only the dense routines build one
+
         vec = [Fraction(x) for x in vec]
         for p, row in self.rows:
             f = vec[p]

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import or_
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +30,9 @@ from macomplex import (
 from macomplex import cohomology
 from macomplex.cohomology import (
     CochainComplexQ,
+    _faces_within,
+    _one_skeleton,
+    _one_skeletons,
     _reduced_betti,
     _unions_of_minimal_nonfaces,
 )
@@ -69,7 +75,8 @@ def reduced_betti(cx):
     n = vertices.bit_length()
     near = _unions_by_vertex(cx.basis.get(0, []) + cx.basis.get(1, []), n)
     above = {j: faces for j, faces in cx.basis.items() if j > 1}
-    return dict(enumerate(_reduced_betti(above, cx._row, near, (1 << n) - 1), -1))
+    I = (1 << n) - 1
+    return dict(enumerate(_reduced_betti(above, cx._row, {}, I, _one_skeleton(near, I)), -1))
 
 
 def degrees(cx):
@@ -411,8 +418,11 @@ def test_vertex_walk_skips_ghost_vertices():
     near = _unions_by_vertex(K.facets, K.n)
 
     def step(I):
-        return _reduced_betti({}, path._row, near, I)  # the path has no face above degree 1
+        # the path has no face above degree 1
+        return _reduced_betti({}, path._row, {}, I, _one_skeleton(near, I))
 
+    assert _one_skeleton(near, 0b11101) == (2, [0b1, 0b100], 0)
+    assert _one_skeleton(near, 0b11000) == (0, [], 0)
     # a forest ends at b_0: it has no face of degree 2 or more, and b_1 = 0
     assert step(0b11111) == [0, 0]  # the path is contractible
     assert step(0b11101) == [0, 1]  # vertices 1 and 3 and both ghosts: two points, no edge
@@ -423,6 +433,75 @@ def test_vertex_walk_skips_ghost_vertices():
     assert shortcut_ranks(path.restrict(0b11101))[0] == 0
     assert shortcut_ranks(path.restrict(0b00110))[0] == 1
     assert shortcut_ranks(CochainComplexQ(cycle(6).face_masks()))[0] == 5
+
+
+def skeleton_oracle(K, I):
+    """(vertices, components, edges) of the 1-skeleton of K_I from its faces of sizes 1 and 2,
+    the components merged edge by edge and listed by their lowest vertex."""
+    faces = [f for f in K.face_masks() if f and not f & ~I]
+    points = [f for f in faces if f.bit_count() == 1]
+    edges = [f for f in faces if f.bit_count() == 2]
+    components = set(points)
+    for e in edges:
+        touching = {c for c in components if c & e}
+        components = components - touching | {reduce(or_, touching)}
+    return len(points), sorted(components, key=lambda c: c & -c), len(edges)
+
+
+def with_ghost_vertex_1(K):
+    return SimplicialComplex(K.n, [f & ~1 for f in K.facets])
+
+
+@settings(max_examples=80)
+@given(
+    st.one_of(
+        nondegenerate_complexes(max_n=10),
+        nondegenerate_complexes(max_n=10).map(with_ghost_vertex_1),
+        st.lists(st.integers(1, 4), min_size=1, max_size=4).map(lambda qs: boundary_join(*qs)),
+    )
+)
+@example(SimplicialComplex(5, [[2, 3], [3, 4]]))  # ghosts 1 and 5: every I with 1 lowest adds nothing
+@example(cycle(7))
+def test_one_skeletons_extend_the_parent(K):
+    # each visited I gets the 1-skeleton a walk from scratch finds, and a walk
+    # happens exactly when I's parent, I minus its lowest vertex, was not visited
+    near = _unions_by_vertex(K.facets, K.n)
+    visited = visited_subsets(K)
+    walked = []
+
+    def walk(near, I):
+        walked.append(I)
+        return _one_skeleton(near, I)
+
+    with mock.patch.object(cohomology, "_one_skeleton", walk):
+        extended = list(_one_skeletons(near, visited))
+    assert [I for I, _ in extended] == visited
+    for I, skeleton in extended:
+        assert skeleton == _one_skeleton(near, I) == skeleton_oracle(K, I), bin(I)
+    seen = set(visited)
+    assert walked == [I for I in visited if not I or I ^ (I & -I) not in seen]
+
+
+def test_table_eliminates_each_face_set_once(monkeypatch):
+    # many K_I of this flag complex share their faces above degree 1
+    K = flag_complex(random.Random(0), 10, 0.6)
+    above = {j: faces for j, faces in CochainComplexQ(K.face_masks()).basis.items() if j > 1}
+    near = _unions_by_vertex(K.facets, K.n)
+    asked = []  # the face sets the table must rank: above degree 1, past a forest, over j + 1 rows
+    for I, (vertices, components, edges) in _one_skeletons(near, visited_subsets(K)):
+        if vertices and edges > vertices - len(components):
+            asked += [tuple(f) for j, f in _faces_within(above, I).items() if len(f) > j + 1]
+    assert len(asked) > len(set(asked))
+    eliminated = []
+
+    def counted(rows):
+        eliminated.append(tuple(sorted(reduce(or_, row) for row in rows)))  # a row's faces cover its face
+        return rank_sparse(rows)
+
+    monkeypatch.setattr(cohomology.linalg, "rank_sparse", counted)
+    table = hochster_table(K)
+    assert sorted(eliminated) == sorted(set(asked))
+    assert (table.entries, table.betti) == full_table(K)
 
 
 @settings(max_examples=100)
