@@ -140,11 +140,11 @@ def _dumps(value, pad: str = "") -> str:
 
     With ``indent`` set, ``json.dumps`` always runs the pure-Python encoder.
     This walks the shapes reports are made of (str-keyed dicts, lists, exact
-    ints, strings) directly, joins a list of ints in one call, writes a list
-    of records through ``_records``, and hands every other value to
-    ``json.dumps`` itself, re-indented to its depth.  A Hochster table's
-    ``entries``, keyed by (I, j) tuples that ``json.dumps`` would refuse,
-    go to ``_hochster_entries``, which writes them as a list of records.
+    ints, strings) directly, joins a list of ints in one call, and hands
+    every other value to ``json.dumps`` itself, re-indented to its depth.
+    A Hochster table's ``entries``, keyed by (I, j) tuples that
+    ``json.dumps`` would refuse, go to ``_hochster_entries``, which writes
+    them as a list of records.
     """
     kind = type(value)
     if kind is int:
@@ -155,8 +155,6 @@ def _dumps(value, pad: str = "") -> str:
     if kind is list and value:
         if _INT.issuperset(map(type, value)):
             items = map(int.__repr__, value)
-        elif _are_records(value):
-            items = _records(value, inner)
         else:
             items = [_dumps(v, inner) for v in value]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
@@ -166,42 +164,6 @@ def _dumps(value, pad: str = "") -> str:
     if kind is dict and value and type(next(iter(value))) is tuple:
         return _hochster_entries(value, pad)
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
-
-
-def _are_records(values: list) -> bool:
-    """Whether ``values`` are dicts that share one non-empty set of str keys."""
-    first = values[0]
-    if type(first) is not dict or not first or not all(type(k) is str for k in first):
-        return False
-    keys = first.keys()
-    return all(type(v) is dict and v.keys() == keys for v in values)
-
-
-def _records(records: list[dict], pad: str) -> list[str]:
-    """``_dumps`` of each record at ``pad``, through one template for the shared keys.
-
-    The keys are sorted and encoded once.  An int leaf, or a non-empty list
-    of ints, is written here; any other leaf goes back to ``_dumps``.
-    """
-    inner = pad + "  "
-    keys = sorted(records[0])
-    fields = (encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
-    template = "{\n" + inner + (",\n" + inner).join(fields) + "\n" + pad + "}"
-    list_open, list_sep, list_close = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
-    out = []
-    for record in records:
-        texts = []
-        for key in keys:
-            leaf = record[key]
-            kind = type(leaf)
-            if kind is int:
-                texts.append(int.__repr__(leaf))
-            elif kind is list and leaf and _INT.issuperset(map(type, leaf)):
-                texts.append(list_open + list_sep.join(map(int.__repr__, leaf)) + list_close)
-            else:
-                texts.append(_dumps(leaf, inner))
-        out.append(template % tuple(texts))
-    return out
 
 
 def _vertex_texts(first: int, count: int, item: str) -> list[str]:

@@ -23,13 +23,13 @@ empty union, carries the unit.
 The table makes one lean pass, over K's face lists (one per degree, in mask
 order) and its 1-skeleton (one neighbour mask per vertex), both built once.
 For each visited I, ``_one_skeletons`` gives the vertices, components and
-edges of K_I's 1-skeleton, extended by one vertex from its parent, I minus
-its lowest vertex, when the parent was visited, and walked through the
-neighbour masks otherwise.  ``_reduced_betti`` reads b_{-1}, b_0 and
-rank d_0 of K_I off them, stops there when the 1-skeleton is a forest,
-filters only the faces of degree 2 and up to I, and eliminates only
-matrices of more than j + 1 rows in degree j: a nonzero j-cycle has at
-least j + 2 faces, so fewer boundary rows are always independent.  Each
+edges of K_I's 1-skeleton, extended vertex by vertex from that of its
+nearest visited ancestor, I minus some of its lowest vertices (the empty
+set at least).  ``_reduced_betti`` reads b_{-1}, b_0 and rank d_0 of K_I
+off them, stops there when the 1-skeleton is a forest, filters only the
+faces of degree 2 and up to I, and eliminates only matrices of more than
+j + 1 rows in degree j: a nonzero j-cycle has at least j + 2 faces, so
+fewer boundary rows are always independent.  Each
 distinct face set is eliminated once per table, as many K_I hold the same
 faces above degree 1.  Columns are face masks, so each face's boundary
 row is built once for every K_I.  The filter, ``_faces_within``, also
@@ -40,6 +40,8 @@ but for the representatives, the only step here that imports ``fractions``.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import TYPE_CHECKING, Iterator
 
 from . import linalg
@@ -69,80 +71,52 @@ def _faces_within(basis: dict[int, list[int]], I: int) -> dict[int, list[int]]:
     return within
 
 
-def _one_skeleton(near: list[int], I: int) -> tuple[int, list[int], int]:
-    """(vertices, components, edges) of the 1-skeleton of K_I, walked from scratch.
+def _one_skeletons(near: list[int], subsets) -> Iterator[tuple[int, tuple[int, list[int], int]]]:
+    """(I, (vertices, components, edges) of K_I's 1-skeleton) for the ascending masks ``subsets``.
 
     ``near[v - 1]`` is the union of the facets with v, so v is in no face
-    when it is 0, and such vertices are skipped.  A walk from each unvisited
-    vertex of I through ``near`` gives the components as vertex masks, in
-    the order of their lowest vertex.
+    when it is 0.  The components are vertex masks, in the order of their
+    lowest vertex.  An ancestor of I is a J that is I minus some of its
+    lowest vertices; the empty set is one of every I.  K_I's 1-skeleton is
+    that of its nearest visited ancestor J with the vertices of I ^ J added,
+    highest first: a vertex v in no face changes nothing; otherwise the
+    edges from v to the vertices present are added and v merges with the
+    components it touches, into a component that comes first, as v is below
+    every vertex present.  The stack holds the visited ancestors of the last
+    I, starting from the empty set.  For J < I' < I with J an ancestor of I,
+    J is an ancestor of I', so an ascending sequence passes from I' to I by
+    popping the ancestors of I' that are not ancestors of I, and the stack
+    holds at most n + 1 entries.
     """
-    vertices = degrees = 0  # degrees: sum over v of |near[v - 1] & I|, v included
-    components = []
-    rest = I
-    while rest:
-        frontier = rest & -rest
-        rest ^= frontier
-        if not near[frontier.bit_length() - 1]:
-            continue
-        component = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            around = near[low.bit_length() - 1] & I
-            degrees += around.bit_count()
-            component |= around
-            frontier |= around & rest
-            rest &= ~around
-        vertices += component.bit_count()
-        components.append(component)
-    return vertices, components, (degrees - vertices) // 2  # each edge is counted at both ends
-
-
-def _one_skeletons(near: list[int], subsets) -> Iterator[tuple[int, tuple[int, list[int], int]]]:
-    """(I, the ``_one_skeleton`` of K_I) for each of the ascending vertex masks ``subsets``.
-
-    K_I's 1-skeleton is its parent's, P = I minus its lowest vertex v, with
-    v added: nothing changes when v is in no face; otherwise the edges from
-    v to P are added and v merges with the components of P it touches, into
-    a component that comes first, as v is below every vertex of P.  P
-    precedes I, and when it was among ``subsets`` it is on a stack of the
-    ancestors of the last I: the J in ``subsets`` that are I minus some of
-    its lowest vertices.  An ascending sequence passes from I to I' by
-    popping the ancestors of I that are not ancestors of I', so the stack
-    holds at most n + 1 entries.  A subset whose parent was not visited is
-    walked from scratch.
-    """
-    stack: list[tuple[int, tuple[int, list[int], int]]] = []
+    stack: list[tuple[int, tuple[int, list[int], int]]] = [(0, (0, [], 0))]
     for I in subsets:
-        while stack:
-            J = stack[-1][0]
+        while True:
+            J, skeleton = stack[-1]
             if I & -(J & -J) == J:  # J is I with its vertices below J's lowest removed
                 break
             stack.pop()
-        v = I & -I
-        if stack and stack[-1][0] == I ^ v:
-            skeleton = stack[-1][1]
-            around = near[v.bit_length() - 1] & I
+        while J != I:  # add the vertices of I ^ J, highest first
+            i = (I ^ J).bit_length() - 1
+            J |= 1 << i
+            around = near[i] & J
             if around:
                 vertices, components, edges = skeleton
-                merged = [v]
+                merged = [1 << i]
                 for component in components:
                     if component & around:
                         merged[0] |= component
                     else:
                         merged.append(component)
                 skeleton = (vertices + 1, merged, edges + around.bit_count() - 1)
-        else:
-            skeleton = _one_skeleton(near, I)
-        stack.append((I, skeleton))
+        if I:
+            stack.append((I, skeleton))
         yield I, skeleton
 
 
 def _reduced_betti(
     above: dict[int, list[int]],
     row,
-    ranks: dict[tuple[int, ...], int],
+    ranks: dict[tuple[int, int], int],
     I: int,
     skeleton: tuple[int, list[int], int],
 ) -> list[int]:
@@ -164,7 +138,9 @@ def _reduced_betti(
     j + 2 faces.  More rows go to elimination in descending face order,
     with far less fill-in than ascending (tenfold less time on the
     8-cross-polytope), once per distinct face set: ``ranks`` keeps each
-    rank under the tuple of its faces, which many K_I share.
+    rank under its degree j and the union of its faces, which many K_I
+    share.  The key is exact, as the j-faces inside I are those inside
+    their union.
     """
     vertices, components, dim = skeleton  # dim of C^1
     if not vertices:
@@ -177,7 +153,7 @@ def _reduced_betti(
         if len(faces) <= j + 1:
             upper = len(faces)
         else:
-            key = tuple(faces)
+            key = (j, reduce(or_, faces))
             upper = ranks.get(key)
             if upper is None:
                 upper = ranks[key] = linalg.rank_sparse([*map(row, reversed(faces))])
@@ -381,7 +357,7 @@ def hochster_table(K: SimplicialComplex) -> HochsterTable:
     whole = CochainComplexQ(K.face_masks())
     above = {j: faces for j, faces in whole.basis.items() if j > 1}  # the 1-skeleton gives degrees 0 and 1
     near = _unions_by_vertex(K.facets, K.n)
-    ranks: dict[tuple[int, ...], int] = {}
+    ranks: dict[tuple[int, int], int] = {}
     entries: dict[tuple[int, int], int] = {}
     betti = [0] * (2 * K.n + 2)  # degree j + |I| + 1 <= 2n
     for I, skeleton in _one_skeletons(near, _unions_of_minimal_nonfaces(K.n, nonfaces)):

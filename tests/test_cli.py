@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from macomplex import SimplicialComplex, cli, complexes, cycle, hochster_table
+from macomplex import SimplicialComplex, cells, cli, complexes, cycle, hochster_table
 from oracles import nondegenerate_complexes, vertices_of
 
 families = sys.modules["macomplex.generate"]  # the package exports the function under that name
@@ -397,6 +397,14 @@ JSON_TREES = st.recursive(
 @example([{"k": {"m": [1, 2]}, "l": 1}, {"k": {}, "l": [{"m": 1}, {"m": 2}]}])
 @example([{1: [2], 2: 3}, {1: [], 2: 4}])
 @example([{"a": 1}, {"b": 2}, {"a": 1, "b": 2}, {"a": [1]}, [1]])
+# the two record shapes of reports: --dump-cells's chain and a batch
+@example({"chain": cells.build(cycle(5)).to_json_dict()})
+@example(
+    [
+        {"input": "c5.json", "report": {"betti": [1, 0, 0, 5, 5, 0, 0, 1], "cells": 152}},
+        {"input": "c6.json", "report": {"error": {"message": "352 cells", "type": "ResourceError"}}},
+    ]
+)
 def test_report_writer_matches_json_dumps(value):
     assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 

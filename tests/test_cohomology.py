@@ -1,10 +1,9 @@
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb
 from operator import or_
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,7 +30,6 @@ from macomplex import cohomology
 from macomplex.cohomology import (
     CochainComplexQ,
     _faces_within,
-    _one_skeleton,
     _one_skeletons,
     _reduced_betti,
     _unions_of_minimal_nonfaces,
@@ -76,7 +74,8 @@ def reduced_betti(cx):
     near = _unions_by_vertex(cx.basis.get(0, []) + cx.basis.get(1, []), n)
     above = {j: faces for j, faces in cx.basis.items() if j > 1}
     I = (1 << n) - 1
-    return dict(enumerate(_reduced_betti(above, cx._row, {}, I, _one_skeleton(near, I)), -1))
+    [(_, skeleton)] = _one_skeletons(near, [I])
+    return dict(enumerate(_reduced_betti(above, cx._row, {}, I, skeleton), -1))
 
 
 def degrees(cx):
@@ -417,12 +416,16 @@ def test_vertex_walk_skips_ghost_vertices():
     path = CochainComplexQ(K.face_masks())
     near = _unions_by_vertex(K.facets, K.n)
 
+    def skeleton(I):
+        [(_, found)] = _one_skeletons(near, [I])
+        return found
+
     def step(I):
         # the path has no face above degree 1
-        return _reduced_betti({}, path._row, {}, I, _one_skeleton(near, I))
+        return _reduced_betti({}, path._row, {}, I, skeleton(I))
 
-    assert _one_skeleton(near, 0b11101) == (2, [0b1, 0b100], 0)
-    assert _one_skeleton(near, 0b11000) == (0, [], 0)
+    assert skeleton(0b11101) == (2, [0b1, 0b100], 0)
+    assert skeleton(0b11000) == (0, [], 0)
     # a forest ends at b_0: it has no face of degree 2 or more, and b_1 = 0
     assert step(0b11111) == [0, 0]  # the path is contractible
     assert step(0b11101) == [0, 1]  # vertices 1 and 3 and both ghosts: two points, no edge
@@ -435,12 +438,17 @@ def test_vertex_walk_skips_ghost_vertices():
     assert shortcut_ranks(CochainComplexQ(cycle(6).face_masks()))[0] == 5
 
 
+@lru_cache(maxsize=1)
+def points_and_edges(K):
+    """K's faces of sizes 1 and 2, read once per complex."""
+    faces = K.face_masks()
+    return [f for f in faces if f.bit_count() == 1], [f for f in faces if f.bit_count() == 2]
+
+
 def skeleton_oracle(K, I):
     """(vertices, components, edges) of the 1-skeleton of K_I from its faces of sizes 1 and 2,
     the components merged edge by edge and listed by their lowest vertex."""
-    faces = [f for f in K.face_masks() if f and not f & ~I]
-    points = [f for f in faces if f.bit_count() == 1]
-    edges = [f for f in faces if f.bit_count() == 2]
+    points, edges = ([f for f in faces if not f & ~I] for faces in points_and_edges(K))
     components = set(points)
     for e in edges:
         touching = {c for c in components if c & e}
@@ -458,28 +466,21 @@ def with_ghost_vertex_1(K):
         nondegenerate_complexes(max_n=10),
         nondegenerate_complexes(max_n=10).map(with_ghost_vertex_1),
         st.lists(st.integers(1, 4), min_size=1, max_size=4).map(lambda qs: boundary_join(*qs)),
-    )
+    ),
+    st.lists(st.integers(0, 2**20 - 1), max_size=30),  # masked to K's vertices
 )
-@example(SimplicialComplex(5, [[2, 3], [3, 4]]))  # ghosts 1 and 5: every I with 1 lowest adds nothing
-@example(cycle(7))
-def test_one_skeletons_extend_the_parent(K):
-    # each visited I gets the 1-skeleton a walk from scratch finds, and a walk
-    # happens exactly when I's parent, I minus its lowest vertex, was not visited
+@example(SimplicialComplex(5, [[2, 3], [3, 4]]), [])  # ghosts 1 and 5: every I with 1 lowest adds nothing
+@example(cycle(7), [0b0010101, 0b1010101, 0b1111110])  # no parent among them
+def test_one_skeletons_extend_the_parent(K, drawn):
+    # each I gets the 1-skeleton found from K's points and edges, both when the
+    # subsets are the visited ones and when they are any ascending list, where
+    # the empty set may be the only ancestor of I among them
     near = _unions_by_vertex(K.facets, K.n)
-    visited = visited_subsets(K)
-    walked = []
-
-    def walk(near, I):
-        walked.append(I)
-        return _one_skeleton(near, I)
-
-    with mock.patch.object(cohomology, "_one_skeleton", walk):
-        extended = list(_one_skeletons(near, visited))
-    assert [I for I, _ in extended] == visited
-    for I, skeleton in extended:
-        assert skeleton == _one_skeleton(near, I) == skeleton_oracle(K, I), bin(I)
-    seen = set(visited)
-    assert walked == [I for I in visited if not I or I ^ (I & -I) not in seen]
+    for subsets in (visited_subsets(K), sorted({I & (1 << K.n) - 1 for I in drawn})):
+        extended = list(_one_skeletons(near, subsets))
+        assert [I for I, _ in extended] == subsets
+        for I, skeleton in extended:
+            assert skeleton == skeleton_oracle(K, I), bin(I)
 
 
 def test_table_eliminates_each_face_set_once(monkeypatch):
