@@ -50,10 +50,10 @@ def _report_betti(K, args):
 
 
 def _report_oracle(K, args):
-    complex = cells.build(K, cell_limit=args.limit_cells)
-    report = {"betti": complex.betti_numbers(), "cells": complex.cell_count}
+    betti, count = cells.betti(K, cell_limit=args.limit_cells)
+    report = {"betti": betti, "cells": count}
     if args.dump_cells:
-        report["chain"] = complex.to_json_dict()
+        report["chain"] = cells.build(K, cell_limit=args.limit_cells).to_json_dict()
     return report
 
 
@@ -80,8 +80,8 @@ def _report_loop_ranks(K, args):
 
 
 def _report_crosscheck(K, args):
-    complex = cells.build(K, cell_limit=args.limit_cells)  # refuses before any Hochster work
-    hochster, oracle = hochster_betti(K), complex.betti_numbers()
+    oracle, _ = cells.betti(K, cell_limit=args.limit_cells)  # refuses before any Hochster work
+    hochster = hochster_betti(K)
     return {"hochster": hochster, "oracle": oracle, "equal": hochster == oracle}
 
 

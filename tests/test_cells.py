@@ -2,20 +2,30 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from macomplex import (
     ResourceError,
     SimplicialComplex,
     boundary_simplex,
     build,
+    cells,
     cross_polytope,
+    cycle,
     full_subcomplex,
     hochster_betti,
     join,
     random_complex,
     simplex,
 )
-from oracles import convolve, validate_cells
+from oracles import (
+    convolve,
+    flag_complex,
+    nondegenerate_complexes,
+    relabel_facets,
+    validate_cells,
+)
 
 
 def test_build_circle():
@@ -152,3 +162,97 @@ def test_ghost_vertices_contribute_circles():
     K = SimplicialComplex(2, [[1]])
     assert build(K).betti_numbers() == [1, 1]
     assert hochster_betti(K) == [1, 1]
+
+
+# ---------------------------------------------------------------------------
+# the join split: factors from the facets, Betti numbers by convolution
+
+GHOST = SimplicialComplex(1, [[]])  # one vertex in no facet: Z = S^1
+# facets {x1, x2, x3} with one vertex from each pair {1, 2}, {3, 4}, {5, 6} and an even
+# number of upper ones: every two vertices of different pairs are independent, yet no
+# pair splits off, so the three components merge into one block
+PARITY = SimplicialComplex(6, [[1, 3, 5], [1, 4, 6], [2, 3, 6], [2, 4, 5]])
+
+
+def relabelled(K, labels):
+    """``K`` with vertex v renamed ``labels[v - 1]``."""
+    return SimplicialComplex(K.n, [list(f) for f in relabel_facets(K, dict(enumerate(labels, 1)))])
+
+
+def joined(*parts):
+    K = SimplicialComplex(0, [[]])
+    for part in parts:
+        K = join(K, part)
+    return K
+
+
+def assert_blocks_are_join_factors(K, blocks):
+    # the blocks partition the vertices, and the facets are exactly the unions
+    # of one trace from each block
+    assert sum(blocks) == (1 << K.n) - 1
+    assert sum(B.bit_count() for B in blocks) == K.n
+    unions = {0}
+    for B in blocks:
+        unions = {u | (f & B) for u in unions for f in K.facets}
+    assert unions == set(K.facets)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_cross_polytope_splits_into_pairs(k):
+    blocks = cells._join_blocks(cross_polytope(k))
+    assert sorted(B.bit_count() for B in blocks) == [2] * k
+    assert_blocks_are_join_factors(cross_polytope(k), blocks)
+
+
+@pytest.mark.parametrize("cones", [0, 1, 2])
+def test_boundary_join_splits_into_its_blocks_and_cone_vertices(cones):
+    K = joined(boundary_simplex(2), boundary_simplex(1), boundary_simplex(3))
+    if cones:
+        K = join(K, simplex(cones - 1))
+    K = relabelled(K, random.Random(cones).sample(range(1, K.n + 1), K.n))
+    blocks = cells._join_blocks(K)
+    assert sorted(B.bit_count() for B in blocks) == [1] * cones + [2, 3, 4]
+    assert_blocks_are_join_factors(K, blocks)
+
+
+def test_ghost_vertex_is_a_block_of_its_own():
+    K = relabelled(joined(cycle(5), GHOST), [1, 2, 4, 5, 6, 3])
+    blocks = cells._join_blocks(K)
+    assert sorted(blocks) == [1 << 2, 0b111011]
+    assert_blocks_are_join_factors(K, blocks)
+
+
+@pytest.mark.parametrize(
+    "K",
+    [cycle(5), cycle(6), cycle(9), flag_complex(random.Random(3), 8, 0.5), PARITY],
+    ids=["C5", "C6", "C9", "flag8", "parity"],
+)
+def test_complexes_that_are_no_join_give_one_block(K):
+    assert cells._join_blocks(K) == [(1 << K.n) - 1]
+
+
+def test_blocks_that_fail_alone_merge_into_one_factor():
+    K = joined(PARITY, boundary_simplex(1))
+    assert sorted(cells._join_blocks(K)) == [0b111111, 0b11000000]
+    assert cells.betti(K) == (build(K).betti_numbers(), build(K).cell_count)
+
+
+@st.composite
+def relabelled_joins(draw):
+    """Joins of two or three complexes on at most 3 vertices, on shuffled labels,
+    sometimes with a cone vertex or a ghost vertex joined on."""
+    K = joined(*draw(st.lists(nondegenerate_complexes(3), min_size=2, max_size=3)))
+    if K.n < 9:
+        K = join(K, draw(st.sampled_from([SimplicialComplex(0, [[]]), simplex(0), GHOST])))
+    return relabelled(K, draw(st.permutations(range(1, K.n + 1))))
+
+
+@settings(max_examples=100)
+@given(st.one_of(relabelled_joins(), nondegenerate_complexes(9)))
+@example(cross_polytope(3))
+@example(joined(PARITY, GHOST))
+@example(SimplicialComplex(0, [[]]))
+@example(SimplicialComplex(3, [[]]))
+def test_split_betti_matches_the_unsplit_engine(K):
+    C = build(K)
+    assert cells.betti(K) == (C.betti_numbers(), C.cell_count)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from macomplex import SimplicialComplex, cells, cli, complexes, cycle, hochster_table
+from macomplex import SimplicialComplex, cells, cli, complexes, cross_polytope, cycle, hochster_table
 from oracles import nondegenerate_complexes, vertices_of
 
 families = sys.modules["macomplex.generate"]  # the package exports the function under that name
@@ -512,6 +512,27 @@ def test_cell_count_guard_fires_before_any_work(capsys, monkeypatch, command):
         "type": "ResourceError",
         "message": "at least 2^20 cells exceed the configured limit of 531441",
     }
+
+
+@pytest.mark.parametrize("command", ["oracle-betti", "crosscheck"])
+def test_cell_limit_counts_the_whole_join(capsys, monkeypatch, command):
+    # the engine ranks each join factor alone, but the limit still counts the
+    # complex's cells: each of the 7-dimensional cross polytope's factors has 8
+    # cells, and C4, the join of two copies of S^0, has 64
+    def refuse(*args):
+        raise AssertionError("Hochster work started before the cell count was checked")
+
+    monkeypatch.setattr(cli, "hochster_betti", refuse)
+    source = json.dumps(cross_polytope(7).to_json_dict())
+    code, report = run_json(capsys, [command, "--input", source])
+    assert code == 3
+    assert report["error"] == {
+        "type": "ResourceError",
+        "message": "2097152 cells exceed the configured limit of 531441",
+    }
+    code, report = run_json(capsys, [command, "--input", C4_JSON, "--limit-cells", "63"])
+    assert code == 3
+    assert report["error"]["message"] == "64 cells exceed the configured limit of 63"
 
 
 def test_loop_ranks_refuses_a_truncation_above_the_limit(capsys):
