@@ -15,16 +15,17 @@ since only the 2-cell has a nonzero differential (its boundary is the
 1-cell) and passing the boundary operator across an odd-degree factor
 flips the sign.  Z(K_A * K_B) = Z(K_A) x Z(K_B), so ``betti`` convolves
 the Betti numbers of the join factors it finds from the facets alone
-(Künneth over Q).  The engine restricts K only to those factors, so it
-stays an independent check of the subset-decomposition route.  It takes
-only ``rank_sparse`` from ``linalg``; its d∘d check is a test oracle.
+(Künneth over Q).  The engine restricts K only to those factors, each
+through ``complexes.full_subcomplex``, so it stays an independent check of
+the subset-decomposition route.  It takes only ``rank_sparse`` from
+``linalg``; its d∘d check is a test oracle.
 """
 
 from __future__ import annotations
 
 from math import prod
 
-from .complexes import SimplicialComplex, _bits, _compress_mask, _submasks
+from .complexes import SimplicialComplex, _bits, _submasks, full_subcomplex
 from .errors import ResourceError
 from .linalg import rank_sparse
 
@@ -154,8 +155,7 @@ def betti(K: SimplicialComplex, cell_limit: int = DEFAULT_CELL_LIMIT) -> tuple[l
     ``build``'s two limit checks apply to all of K's cells, in ``build``'s order.
     """
     _check_limit(1 << K.n, cell_limit, f"at least 2^{K.n}")
-    factors = [SimplicialComplex(B.bit_count(), [_compress_mask(f & B, B) for f in K.facets])
-               for B in _join_blocks(K)]
+    factors = [full_subcomplex(K, B) for B in _join_blocks(K)]
     total = prod(sum(1 << (L.n - f.bit_count()) for f in L.face_masks()) for L in factors)
     _check_limit(total, cell_limit)
     out = [1]

@@ -1,4 +1,8 @@
-"""Named families and seeded random complexes for tests and the CLI."""
+"""Named families and seeded random complexes for tests and the CLI.
+
+``FAMILIES`` is the one list of families: it maps each name to its
+builder, and both ``generate`` and the CLI's ``--family`` choices read it.
+"""
 
 from __future__ import annotations
 
@@ -13,7 +17,6 @@ from .complexes import (
 )
 from .errors import InputError, ResourceError
 
-FAMILIES = ("simplex", "boundary", "cycle", "cross_polytope", "random")
 CROSS_POLYTOPE_MAX_FACETS = 1 << 16  # k <= 16: about half a second of joins
 
 
@@ -60,16 +63,12 @@ def random_complex(n: int, seed: int = 0) -> SimplicialComplex:
     return SimplicialComplex(n, facets)
 
 
+FAMILIES = {"simplex": simplex, "boundary": boundary_simplex, "cycle": cycle,
+            "cross_polytope": cross_polytope, "random": random_complex}
+
+
 def generate(family: str, size: int, seed: int = 0) -> SimplicialComplex:
     """Dispatch on the family name; ``size`` is q, q, m, k or n respectively."""
     if family not in FAMILIES:
         raise InputError(f"unknown family {family!r}; choose one of {', '.join(FAMILIES)}")
-    if family == "simplex":
-        return simplex(size)
-    if family == "boundary":
-        return boundary_simplex(size)
-    if family == "cycle":
-        return cycle(size)
-    if family == "cross_polytope":
-        return cross_polytope(size)
-    return random_complex(size, seed)
+    return random_complex(size, seed) if family == "random" else FAMILIES[family](size)

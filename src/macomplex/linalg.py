@@ -13,11 +13,12 @@ coefficient, otherwise cross-multiplication followed by gcd normalisation.
 is a test oracle; the cocycle layer of the ring scan reads kernels,
 images and representatives off the pivot tables.
 
-The dense routines over Fraction (``rref``, ``kernel_basis``,
-``solve_columns`` and ``RowSpan``) have no caller in the package.  They
-stay as the tests' reference for the cocycle layer, and because the
-benchmark's tracer wraps them by name.  Each imports ``fractions`` when
-called, so loading the package does not.
+The dense reference over Fraction is ``rref`` plus three readers of it:
+``kernel_basis``, ``solve_columns`` and ``RowSpan``.  None has a caller in
+the package.  They stay as the tests' reference for the cocycle layer,
+independent of ``echelon``, and because the benchmark's tracer wraps them
+by name.  ``fractions`` is imported when they are called, so loading the
+package does not import it.
 """
 
 from __future__ import annotations
@@ -117,13 +118,6 @@ def kernel_basis(matrix, ncols) -> list[list[Fraction]]:
     """
     from fractions import Fraction  # only the dense routines build one
 
-    if not matrix:
-        basis = []
-        for c in range(ncols):
-            vec = [Fraction(0)] * ncols
-            vec[c] = Fraction(1)
-            basis.append(vec)
-        return basis
     red, pivots = rref(matrix)
     pivot_set = set(pivots)
     basis = []
@@ -146,46 +140,27 @@ def solve_columns(columns, rhs) -> list[Fraction] | None:
     """
     from fractions import Fraction  # only the dense routines build one
 
-    nrows = len(rhs)
-    ncols = len(columns)
-    aug = []
-    for i in range(nrows):
-        aug.append([Fraction(col[i]) for col in columns] + [Fraction(rhs[i])])
-    red, pivots = rref(aug)
-    if ncols in pivots:
+    red, pivots = rref([[col[i] for col in columns] + [rhs[i]] for i in range(len(rhs))])
+    if len(columns) in pivots:
         return None
-    x = [Fraction(0)] * ncols
+    x = [Fraction(0)] * len(columns)
     for row, p in zip(red, pivots):
         x[p] = row[-1]
     return x
 
 
 class RowSpan:
-    """Incrementally built row space over the rationals."""
+    """Incrementally built row space over the rationals: the independent rows added so far."""
 
     def __init__(self):
-        self.rows = []  # (pivot column, reduced vector with unit pivot)
-
-    def _reduce(self, vec):
-        from fractions import Fraction  # only the dense routines build one
-
-        vec = [Fraction(x) for x in vec]
-        for p, row in self.rows:
-            f = vec[p]
-            if f != 0:
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return vec
+        self.rows = []
 
     def contains(self, vec) -> bool:
-        return not any(self._reduce(vec))
+        return len(rref([*self.rows, vec])[1]) == len(self.rows)
 
     def add(self, vec) -> bool:
         """Add a vector; returns True if it enlarged the span."""
-        res = self._reduce(vec)
-        p = next((i for i, x in enumerate(res) if x != 0), None)
-        if p is None:
+        if self.contains(vec):
             return False
-        pv = res[p]
-        self.rows.append((p, [x / pv for x in res]))
-        self.rows.sort(key=lambda t: t[0])
+        self.rows.append(vec)
         return True

@@ -39,6 +39,7 @@ from macomplex.linalg import (
     echelon,
     kernel_basis,
     rank_sparse,
+    rref,
     solve_columns,
 )
 from macomplex.nonfaces import (
@@ -922,6 +923,8 @@ def test_solve_columns_and_rowspan():
     x = solve_columns(cols, [Fraction(3), Fraction(2)])
     assert x == [Fraction(1), Fraction(2)]
     assert solve_columns([[Fraction(1), Fraction(0)]], [Fraction(0), Fraction(1)]) is None
+    assert solve_columns([], [1]) is None and solve_columns([], []) == []
+    assert rref([]) == ([], [])
 
     span = RowSpan()
     assert span.add([Fraction(1), Fraction(1)])
@@ -929,3 +932,70 @@ def test_solve_columns_and_rowspan():
     assert span.contains([Fraction(-1), Fraction(-1)])
     assert span.add([Fraction(0), Fraction(1)])
     assert span.contains([Fraction(5), Fraction(7)])
+
+
+@st.composite
+def dense_systems(draw):
+    """(rows, ncols, rhs): at most 5 integer rows over at most 5 columns, and a right side.
+
+    A row is fresh or an integer combination of two earlier rows, so ranks
+    fall short; the right side is a combination of the columns (a consistent
+    system) or drawn freely (mostly inconsistent once the rank is short).
+    """
+    ncols = draw(st.integers(0, 5))
+    entries = st.integers(-3, 3)
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        if rows and draw(st.booleans()):
+            r1, r2 = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = draw(entries), draw(entries)
+            rows.append([a * x + b * y for x, y in zip(r1, r2)])
+        else:
+            rows.append(draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+    if draw(st.booleans()):
+        coef = draw(st.lists(entries, min_size=ncols, max_size=ncols))
+        rhs = [sum(c * x for c, x in zip(coef, row)) for row in rows]
+    else:
+        rhs = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    return rows, ncols, rhs
+
+
+@settings(max_examples=150)
+@given(dense_systems())
+@example(([], 0, []))  # rref([]) and solve_columns([], [])
+@example(([[]], 0, [1]))  # solve_columns([], [1]): no columns, nonzero right side
+@example(([], 3, []))  # kernel_basis([], 3): the unit basis
+def test_dense_reference_against_sympy(system):
+    import sympy
+
+    rows, ncols, rhs = system
+
+    def matrix(rs):
+        return sympy.Matrix(len(rs), ncols, [x for r in rs for x in r])
+
+    def fraction(x):
+        return Fraction(int(x.p), int(x.q))
+
+    M = matrix(rows)
+    reduced, pivots = M.rref()
+    assert rref(rows) == ([[fraction(x) for x in reduced.row(i)] for i in range(len(pivots))],
+                          list(pivots))
+
+    basis = kernel_basis(rows, ncols)
+    assert len(basis) == len(M.nullspace())
+    assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows for vec in basis)
+    assert sympy.Matrix(len(basis), ncols, [x for vec in basis for x in vec]).rank() == len(basis)
+
+    x = solve_columns([[row[j] for row in rows] for j in range(ncols)], rhs)
+    consistent = M.row_join(sympy.Matrix(len(rows), 1, rhs)).rank() == M.rank()
+    assert (x is not None) == consistent
+    if x is not None:
+        assert [sum(a * b for a, b in zip(row, x)) for row in rows] == rhs
+
+    span = RowSpan()
+    ranks = [matrix(rows[:k]).rank() for k in range(len(rows) + 1)]
+    for k, row in enumerate(rows):
+        grows = ranks[k + 1] > ranks[k]
+        assert span.contains(row) is not grows
+        assert span.add(row) is grows
+    assert len(span.rows) == ranks[-1]

@@ -135,6 +135,7 @@ def test_canonical_order_and_equality():
     K2 = SimplicialComplex(4, [[1, 4], [2, 3], [1, 2], [3, 4]])
     assert K1 == K2
     assert hash(K1) == hash(K2)
+    assert (K1 == "x") is False  # __eq__ answers NotImplemented
     masks = list(K1.facets)
     assert masks == sorted(masks)
 

@@ -92,6 +92,15 @@ def test_family_json_round_trip():
     assert NonfaceFamily(data["n"], data["members"]) == M
 
 
+def test_family_equality_hash_and_repr():
+    M = NonfaceFamily(4, [[2, 4], [1, 3]])
+    same = NonfaceFamily(4, [[1, 3], [4, 2]])
+    assert M == same and hash(M) == hash(same)
+    assert M != NonfaceFamily(5, [[2, 4], [1, 3]])
+    assert (M == "x") is False  # __eq__ answers NotImplemented, so Python falls back to identity
+    assert eval(repr(M), {"NonfaceFamily": NonfaceFamily}) == M
+
+
 # Each would be a valid family if n = True, n = 3.9, the vertex 2.7 or the
 # vertex "1" were coerced to 1, 3, 2 or 1; the last two have n out of range.
 @pytest.mark.parametrize(
