@@ -26,16 +26,15 @@ For each visited I, ``_one_skeletons`` gives the vertices, components and
 edges of K_I's 1-skeleton, extended vertex by vertex from that of its
 nearest visited ancestor, I minus some of its lowest vertices (the empty
 set at least).  ``_reduced_betti`` reads b_{-1}, b_0 and rank d_0 of K_I
-off them, stops there when the 1-skeleton is a forest, filters only the
-faces of degree 2 and up to I, and eliminates only matrices of more than
-j + 1 rows in degree j: a nonzero j-cycle has at least j + 2 faces, so
-fewer boundary rows are always independent.  Each
-distinct face set is eliminated once per table, as many K_I hold the same
-faces above degree 1.  Columns are face masks, so each face's boundary
-row is built once for every K_I.  The filter, ``_faces_within``, also
-gives the faces of the few K_I whose cocycles the ring scan needs, each
-a complex with its own rows.  All linear algebra is exact, in integers
-but for the representatives, the only step here that imports ``fractions``.
+off them, stops there when the 1-skeleton is a forest, and filters only
+the faces of degree 2 and up to I.  Each distinct face set above degree 1
+is ranked once per table, through a memo, as many K_I hold the same
+faces there.  Columns are face masks, so each face's boundary row is
+built once for every K_I.  The filter, ``_faces_within``, also gives the
+faces of the few K_I whose cocycles the ring scan needs, each a complex
+with its own rows.  All linear algebra is exact, in integers but for the
+ring scan's representatives and cocycle coordinates, the only steps here
+that import ``fractions``.
 """
 
 from __future__ import annotations
@@ -130,16 +129,11 @@ def _reduced_betti(
     a forest, and the list ends at b_0: a face of degree 2 or more has a
     triangle of edges in its boundary, which a forest lacks, so K_I has no
     such face and b_1 = 0.  Above degree 1, ``_faces_within`` filters
-    ``above`` to I.
-    At most j + 1 boundary rows of degree-j faces are independent: a
-    dependency among rows is a nonzero j-cycle, which needs a face and, for
-    each of its j + 1 boundary faces, another face through it; two faces of
-    one degree share at most one boundary face, so the cycle has at least
-    j + 2 faces.  More rows go to elimination in descending face order,
-    with far less fill-in than ascending (tenfold less time on the
-    8-cross-polytope), once per distinct face set: ``ranks`` keeps each
-    rank under its degree j and the union of its faces, which many K_I
-    share.  The key is exact, as the j-faces inside I are those inside
+    ``above`` to I, and each degree's rows go to elimination in descending
+    face order, with far less fill-in than ascending (tenfold less time on
+    the 8-cross-polytope), once per distinct face set: ``ranks`` keeps
+    each rank under its degree j and the union of its faces, which many
+    K_I share.  The key is exact, as the j-faces inside I are those inside
     their union.
     """
     vertices, components, dim = skeleton  # dim of C^1
@@ -150,13 +144,10 @@ def _reduced_betti(
         return [0, len(components) - 1]
     betti = [0, len(components) - 1]
     for j, faces in _faces_within(above, I).items():
-        if len(faces) <= j + 1:
-            upper = len(faces)
-        else:
-            key = (j, reduce(or_, faces))
-            upper = ranks.get(key)
-            if upper is None:
-                upper = ranks[key] = linalg.rank_sparse([*map(row, reversed(faces))])
+        key = (j, reduce(or_, faces))
+        upper = ranks.get(key)
+        if upper is None:
+            upper = ranks[key] = linalg.rank_sparse([*map(row, reversed(faces))])
         betti.append(dim - upper - rank)
         dim, rank = len(faces), upper
     betti.append(dim - rank)  # d_top is zero
@@ -183,10 +174,6 @@ class CochainComplexQ:
             self.basis.setdefault(m.bit_count() - 1, []).append(m)
         self._rows: dict[int, dict[int, int]] = {}  # face mask -> its boundary row
         self._cohomology: dict[int, tuple[list[dict[int, Fraction]], list[int], dict]] = {}
-
-    def restrict(self, I: int) -> "CochainComplexQ":
-        """The full subcomplex on vertex mask ``I``, a new complex on the faces inside ``I``."""
-        return CochainComplexQ(m for masks in _faces_within(self.basis, I).values() for m in masks)
 
     def _row(self, tau: int) -> dict[int, int]:
         """Signed boundary faces of ``tau``, {face mask: +-1}, built on first use."""
@@ -276,22 +263,24 @@ class HochsterTable:
     dict, in that order, as the records {"I": vertices, "dim", "j"} of its
     report, with ``betti`` beside them.  ``nonfaces`` keeps the masks of K's
     minimal non-faces, ghost singletons included, that chose the visited
-    subsets.
+    subsets.  ``basis`` is K's face lists, one per degree in mask order,
+    which the ring scan cuts to each K_I it needs.
     """
 
     def __init__(
-        self, whole: CochainComplexQ, entries: dict, betti: list[int], nonfaces: list[int]
+        self, basis: dict[int, list[int]], entries: dict, betti: list[int], nonfaces: list[int]
     ):
         self.entries = entries
         self.betti = betti
         self.nonfaces = nonfaces
-        self._whole = whole
+        self._basis = basis
         self._cochains: dict[int, CochainComplexQ] = {}
 
     def cochain_complex(self, I: int) -> CochainComplexQ:
-        """The cochain complex of K_I for the vertex mask ``I``, restricted once and kept."""
+        """The cochain complex of K_I, built once from K's faces inside the vertex mask ``I``."""
         if I not in self._cochains:
-            self._cochains[I] = self._whole.restrict(I)
+            within = _faces_within(self._basis, I)
+            self._cochains[I] = CochainComplexQ(m for masks in within.values() for m in masks)
         return self._cochains[I]
 
     def positive_entries(self) -> list[tuple[int, int, int]]:
@@ -307,21 +296,18 @@ def _unions_of_minimal_nonfaces(n: int, nonfaces: list[int]) -> Iterator[int]:
     set, the empty union, comes first.  The test runs on truth tables
     over all 2^n subsets at once, bit I of an integer standing for subset I:
     ``inside[v]`` holds where v lies in I and ``covered[v]`` where some
-    minimal non-face containing v lies in I.  A subset is a union exactly
+    minimal non-face containing v lies in I.  The ``inside`` tables grow
+    by doubling: over the 2^(v+1) subsets of 1..v+1, the first 2^v lack
+    v + 1 and the last 2^v repeat them with it.  A subset is a union exactly
     when ``covered[v]`` holds for every vertex v of I, so the work is a few
     big-integer operations per vertex of each non-face rather than a test
     per subset.
     """
     every = (1 << (1 << n)) - 1
     inside = []
-    for v in range(n):
-        period = 2 << v
-        # one period of 2^(v+1) subsets: 2^v without v, then 2^v with it
-        table = ((1 << (1 << v)) - 1) << (1 << v)
-        while period < 1 << n:
-            table |= table << period
-            period *= 2
-        inside.append(table)
+    for half in (1 << v for v in range(n)):  # tables over 2^v subsets become tables over 2^(v+1)
+        inside = [t | t << half for t in inside]
+        inside.append(((1 << half) - 1) << half)
     covered = [0] * n
     for m in nonfaces:
         within = every
@@ -368,7 +354,7 @@ def hochster_table(K: SimplicialComplex) -> HochsterTable:
                 betti[j + shift] += dim
     while not betti[-1]:
         betti.pop()
-    return HochsterTable(whole, entries, betti, nonfaces)
+    return HochsterTable(whole.basis, entries, betti, nonfaces)
 
 
 def hochster_betti(K: SimplicialComplex) -> list[int]:

@@ -23,7 +23,7 @@ from macomplex import (
     reconstruct,
     wedge_model,
 )
-from macomplex import nonfaces
+from macomplex import loops, nonfaces
 from macomplex.loops import MAX_TRUNCATION, _product_series
 from oracles import expand_rank_product, loop_space_series
 
@@ -88,6 +88,24 @@ def test_product_check_sees_a_wrong_sign():
     target = loop_space_series((3, 3, 4), N)
     assert _product_series(right, N) == target
     assert _product_series(wrong, N) != target
+
+
+def test_rebuild_check_sees_a_wrong_target_past_the_product_check(monkeypatch):
+    # with g < m for g <= m, A misses the term a[0] at each t^g: for S35 v S36
+    # (generators 34 and 35) it first differs at t^34, past PRODUCT_CHECK_DEGREE,
+    # and l_34 = 1 still divides exactly, so only the rebuild of A sees it
+    def off_by_one(gen_degrees, N):
+        a = [1] + [0] * N
+        for m in range(1, N + 1):
+            a[m] = sum(a[m - g] for g in gen_degrees if g < m)
+        return a
+
+    monkeypatch.setattr(loops, "_tensor_series", off_by_one)
+    assert loops.PRODUCT_CHECK_DEGREE < 34
+    with pytest.raises(AssertionError, match="the sums c_n do not rebuild the loop-space series"):
+        free_lie_ranks(SphereModel("wedge", (35, 36)), 40)
+    with pytest.raises(AssertionError, match="fractional or negative rank"):  # the solve fails first
+        free_lie_ranks(SphereModel("wedge", (3, 4)), 40)
 
 
 @given(st.lists(st.integers(0, 60), min_size=1, max_size=14), st.integers(0, 16))
